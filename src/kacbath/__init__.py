@@ -14,7 +14,6 @@ from .engine import (
     EnsembleConfig,
     EnsembleResult,
     InitialCondition,
-    ParticleState,
     Trajectory,
     simulate_ensemble,
     simulate_trajectory,

@@ -64,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_workers(args) -> int:
     env = os.environ.get("KACBATH_WORKERS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"KACBATH_WORKERS must be an integer, got {env!r}") from None
     return max(1, args.workers)
 
 

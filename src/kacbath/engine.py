@@ -6,13 +6,21 @@ drawing the Poisson number of collisions per observation window and applying
 that many i.i.d. pair collisions in sequence.  No time discretization error
 exists; Monte Carlo error is the only error source.
 
-Reproducibility: trajectory i of a run with seed s uses the counter-based
-Philox stream keyed by (s, i), so results are bit-identical for any worker
-count, and aggregation follows trajectory order.
+Trajectories run in lockstep, _CHUNK at a time: collision e of every
+trajectory in a window is one batched call of `model.collide`, an exact no-op
+for trajectories with fewer collisions in that window.  Energy is checked
+per trajectory at every observation time.
+
+Reproducibility: chunk c of a run with seed s draws everything from the
+counter-based Philox stream keyed by (s, c), so results are bit-identical for
+any worker count, and aggregation follows trajectory order.  Outputs for a
+seed differ from kacbath 0.1.0, which keyed one stream per trajectory.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,6 +31,7 @@ from .model import (
     THERMAL_VARIANCE,
     AngleDistribution,
     GeneratorParams,
+    collide,
     sample_pairs_array,
     uniform_sphere,
 )
@@ -30,11 +39,12 @@ from .moments import MomentPair
 
 ENERGY_DRIFT_TOL = 1e-10
 _CHUNK = 2048
+_BLOCK_SLOTS = 2 ** 14  # collision slots (steps x trajectories) drawn at once; bounds peak memory
 _BOOTSTRAP_KEY_OFFSET = 2 ** 63  # separates estimator streams from trajectory streams
 
 
 class SimulationError(RuntimeError):
-    """State became non-finite during a trajectory."""
+    """State became non-finite, or energy drifted, during a trajectory."""
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -46,18 +56,6 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 def estimator_rng(seed: int, index: int) -> np.random.Generator:
     """Stream for resampling procedures, disjoint from trajectory streams."""
     return trajectory_rng(seed, _BOOTSTRAP_KEY_OFFSET + index)
-
-
-@dataclass(frozen=True)
-class ParticleState:
-    """System and bath velocities; flat layout, particle p at [d*p : d*p+d]."""
-
-    v: np.ndarray
-    w: np.ndarray
-
-    @property
-    def total_energy(self) -> float:
-        return float(np.dot(self.v, self.v) + np.dot(self.w, self.w))
 
 
 @dataclass(frozen=True)
@@ -130,15 +128,20 @@ class InitialCondition:
         mean = self.system_means(params)
         return MomentPair(float(np.mean(var + mean ** 2)), THERMAL_VARIANCE)
 
-    def sample_system(self, params: GeneratorParams, rng: np.random.Generator) -> np.ndarray:
+    def sample_system(
+        self, params: GeneratorParams, rng: np.random.Generator, size: int | None = None
+    ) -> np.ndarray:
+        """One system block of shape (d*M,), or `size` of them stacked as (size, d*M)."""
+        dm = params.dimension * params.M
         if self.kind == "custom":
+            if size is not None:
+                return np.stack([self.sample_system(params, rng) for _ in range(size)])
             out = np.asarray(self.sampler(params, rng), dtype=float)
-            if out.shape != (params.dimension * params.M,):
+            if out.shape != (dm,):
                 raise ValueError("custom sampler returned a wrong-shaped system block")
             return out
-        return self.system_means(params) + rng.normal(size=params.dimension * params.M) * np.sqrt(
-            self.system_variances(params)
-        )
+        shape = dm if size is None else (size, dm)
+        return self.system_means(params) + rng.normal(size=shape) * np.sqrt(self.system_variances(params))
 
 
 @dataclass(frozen=True)
@@ -184,86 +187,97 @@ def simulate_trajectory(
     rng: np.random.Generator,
     record_energies: bool = True,
 ) -> Trajectory:
-    """Evolve one trajectory, returning system snapshots at the given times."""
+    """Evolve one trajectory, returning system snapshots at the given times.
+
+    This is a lockstep run of one trajectory on `rng`; its first draw is the
+    system block, so the t=0 snapshot equals `init.sample_system(params, rng)`.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
-    d, M, N = params.dimension, params.M, params.N
-    dm = d * M
-    lam = params.total_rate
+    snaps, counts, energies = _simulate_lockstep(params, rho, init, t_grid, rng, 1, record_energies)
+    return Trajectory(t_grid, snaps[0], counts[0], energies[0] if record_energies else None)
 
-    v0 = init.sample_system(params, rng)
-    w0 = rng.normal(size=d * N) * math.sqrt(THERMAL_VARIANCE)
-    z = np.concatenate([v0, w0])
-    e0 = float(np.dot(z, z))
+
+def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, record_energies: bool):
+    """Evolve `size` trajectories together on one stream.
+
+    Draws, in order: system blocks, bath blocks, Poisson counts per window,
+    then per window and per block of at most _BLOCK_SLOTS slots (steps x
+    trajectories) the collisions that occur.  Returns snapshots (size,
+    n_times, d*M), per-kind collision counts (size, 3) and energies (size,
+    n_times) or None.
+    """
+    d, M, N = params.dimension, params.M, params.N
+    lam = params.total_rate
+    v0 = init.sample_system(params, rng, size)
+    z = np.concatenate([v0, rng.normal(size=(size, d * N)) * math.sqrt(THERMAL_VARIANCE)], axis=1)
+    state = z.reshape(size, M + N, d, 1)
+    e0 = np.einsum("bi,bi->b", z, z)
 
     windows = np.diff(np.concatenate([[0.0], t_grid]))
     if lam > 0:
-        n_events = rng.poisson(lam * windows)
+        n_events = rng.poisson(lam * windows, size=(size, len(windows)))
     else:
-        n_events = np.zeros(len(windows), dtype=np.int64)
-    total = int(n_events.sum())
+        n_events = np.zeros((size, len(windows)), dtype=np.int64)
 
-    if total > 0:
-        i0, j0, kinds = sample_pairs_array(params, rng, total)
-        counts = np.bincount(kinds, minlength=3).astype(np.int64)
-        if d == 1:
-            thetas = rho.sample(rng, total) if rho is not None else None
-            if thetas is None:
-                raise ValueError("an angle distribution is required in dimension 1")
-        else:
-            omegas = uniform_sphere(rng, total)
+    snapshots = np.empty((size, len(t_grid), d * M))
+    counts = np.zeros((size, 3), dtype=np.int64)
+    energies = np.empty((size, len(t_grid))) if record_energies else None
+    block_steps = max(1, _BLOCK_SLOTS // size)
+    for w, t in enumerate(t_grid):
+        due = n_events[:, w]
+        steps = int(due.max())
+        for first in range(0, steps, block_steps):
+            occurs = np.arange(first, min(first + block_steps, steps))[:, None] < due
+            i, j, param, owners, kinds = _draw_collisions(params, rho, rng, occurs)
+            counts += np.bincount(3 * owners + kinds, minlength=3 * size).reshape(size, 3)
+            for e in range(len(occurs)):
+                collide(state, i[e], j[e], param[e])
+        snapshots[:, w] = z[:, : d * M]
+        energy = np.einsum("bi,bi->b", z, z)
+        _check_energy(energy, e0, t)
+        if record_energies:
+            energies[:, w] = energy
+    return snapshots, counts, energies
+
+
+def _draw_collisions(params, rho, rng, occurs: np.ndarray):
+    """Collisions for the slots (step, trajectory) of `occurs`, shape (steps, B).
+
+    The True slots get pairs, then angles or axes, in row-major order; the
+    others get the no-op (cos=1, sin=0 in d=1, zero axis in d=3).  Returns
+    i, j (steps, B), the parameters (steps, B, 2 or 3), and the trajectory
+    and kind of each drawn collision.
+    """
+    steps, size = occurs.shape
+    slots = np.flatnonzero(occurs)
+    i = np.zeros(steps * size, dtype=np.int64)
+    j = np.ones(steps * size, dtype=np.int64)
+    i[slots], j[slots], kinds = sample_pairs_array(params, rng, len(slots))
+    if params.dimension == 1:
+        if rho is None:
+            raise ValueError("an angle distribution is required in dimension 1")
+        thetas = rho.sample(rng, len(slots))
+        param = np.zeros((2, steps * size))
+        param[0] = 1.0
+        param[0, slots] = np.cos(thetas)
+        param[1, slots] = np.sin(thetas)
     else:
-        counts = np.zeros(3, dtype=np.int64)
-
-    snapshots = np.empty((len(t_grid), dm))
-    energies = np.empty(len(t_grid)) if record_energies else None
-
-    if d == 1 and total > 0:
-        cos_l = np.cos(thetas).tolist()
-        sin_l = np.sin(thetas).tolist()
-        i_l = i0.tolist()
-        j_l = j0.tolist()
-        zl = z.tolist()
-        pos = 0
-        for idx, n_ev in enumerate(n_events):
-            for e in range(pos, pos + int(n_ev)):
-                i = i_l[e]
-                j = j_l[e]
-                vi = zl[i]
-                vj = zl[j]
-                c = cos_l[e]
-                s = sin_l[e]
-                zl[i] = vi * c + vj * s
-                zl[j] = vj * c - vi * s
-            pos += int(n_ev)
-            snapshots[idx] = zl[:dm]
-            _check_energy(zl, e0, energies, idx, t_grid[idx])
-        return Trajectory(t_grid=t_grid, snapshots=snapshots, counts=counts, energies=energies)
-
-    # d == 3 (or no events): operate on the (M+N, 3) view
-    zz = z.reshape(-1, d) if d == 3 else z.reshape(-1, 1)
-    pos = 0
-    for idx, n_ev in enumerate(n_events):
-        for e in range(pos, pos + int(n_ev)):
-            i = i0[e]
-            j = j0[e]
-            om = omegas[e]
-            g = float(np.dot(om, zz[i] - zz[j]))
-            zz[i] -= g * om
-            zz[j] += g * om
-        pos += int(n_ev)
-        snapshots[idx] = zz.ravel()[:dm]
-        _check_energy(zz.ravel(), e0, energies, idx, t_grid[idx])
-    return Trajectory(t_grid=t_grid, snapshots=snapshots, counts=counts, energies=energies)
+        param = np.zeros((3, steps * size))
+        param[:, slots] = uniform_sphere(rng, len(slots)).T
+    param = param.reshape(-1, steps, size).transpose(1, 2, 0)
+    return i.reshape(steps, size), j.reshape(steps, size), param, slots % size, kinds
 
 
-def _check_energy(z, e0: float, energies, idx: int, t: float):
-    e = float(np.dot(z, z)) if isinstance(z, np.ndarray) else math.fsum(x * x for x in z)
-    if not math.isfinite(e):
-        raise SimulationError(f"non-finite state at t={t} (energy {e!r})")
-    if energies is not None:
-        energies[idx] = e
+def _check_energy(energy: np.ndarray, e0: np.ndarray, t: float) -> None:
+    """Every energy finite and within ENERGY_DRIFT_TOL of its t=0 value, relatively."""
+    if not np.all(np.isfinite(energy)):
+        raise SimulationError(f"non-finite state at t={t} (energy {energy[~np.isfinite(energy)][0]!r})")
+    drift = np.abs(energy - e0)
+    if np.any(drift > ENERGY_DRIFT_TOL * e0):
+        worst = float(np.max(drift / e0))
+        raise SimulationError(f"relative energy drift {worst!r} at t={t} exceeds {ENERGY_DRIFT_TOL!r}")
 
 
 @dataclass(frozen=True)
@@ -305,22 +319,9 @@ class EnsembleResult:
         return rows
 
 
-def _simulate_range(args) -> tuple[int, np.ndarray, np.ndarray, np.ndarray | None]:
-    params, rho, init, t_grid, seed, start, stop, record_energies = args
-    n_t = len(t_grid)
-    dm = params.dimension * params.M
-    snaps = np.empty((stop - start, n_t, dm))
-    counts = np.empty((stop - start, 3), dtype=np.int64)
-    energies = np.empty((stop - start, n_t)) if record_energies else None
-    for local, index in enumerate(range(start, stop)):
-        traj = simulate_trajectory(
-            params, rho, init, t_grid, trajectory_rng(seed, index), record_energies=record_energies
-        )
-        snaps[local] = traj.snapshots
-        counts[local] = traj.counts
-        if record_energies:
-            energies[local] = traj.energies
-    return start, snaps, counts, energies
+def _simulate_chunk(job) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    params, rho, init, t_grid, seed, index, size, record_energies = job
+    return _simulate_lockstep(params, rho, init, t_grid, trajectory_rng(seed, index), size, record_energies)
 
 
 def simulate_ensemble(
@@ -332,37 +333,30 @@ def simulate_ensemble(
 ) -> EnsembleResult:
     """Run n_traj independent trajectories; bit-reproducible for fixed seed.
 
-    Trajectories are independent units of work scheduled in fixed chunks;
-    stream identity depends only on (seed, trajectory index), so any worker
-    count yields identical arrays.
+    Trajectories are simulated in chunks of _CHUNK, each on the stream keyed
+    by (seed, chunk index), so any worker count yields identical arrays.
+    Workers are capped by the number of chunks and of CPUs; one worker runs
+    in this process.
     """
     t_grid = np.asarray(config.t_grid, dtype=float)
     n = config.n_traj
-    dm = params.dimension * params.M
     record_energies = "energies" in config.record
-    snapshots = np.empty((n, len(t_grid), dm))
+    jobs = [
+        (params, rho, init, t_grid, config.seed, index, min(_CHUNK, n - start), record_energies)
+        for index, start in enumerate(range(0, n, _CHUNK))
+    ]
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    snapshots = np.empty((n, len(t_grid), params.dimension * params.M))
     counts = np.empty((n, 3), dtype=np.int64)
     energies = np.empty((n, len(t_grid))) if record_energies else None
-    jobs = [
-        (params, rho, init, t_grid, config.seed, start, min(start + _CHUNK, n), record_energies)
-        for start in range(0, n, _CHUNK)
-    ]
-    if workers <= 1:
-        results = map(_simulate_range, jobs)
-        for start, snaps, cnts, ener in results:
-            stop = start + len(snaps)
-            snapshots[start:stop] = snaps
-            counts[start:stop] = cnts
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        chunks = pool.map(_simulate_chunk, jobs) if pool is not None else map(_simulate_chunk, jobs)
+        for index, (snaps, cnts, ener) in enumerate(chunks):
+            rows = slice(index * _CHUNK, index * _CHUNK + len(snaps))
+            snapshots[rows] = snaps
+            counts[rows] = cnts
             if record_energies:
-                energies[start:stop] = ener
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for start, snaps, cnts, ener in pool.map(_simulate_range, jobs, chunksize=1):
-                stop = start + len(snaps)
-                snapshots[start:stop] = snaps
-                counts[start:stop] = cnts
-                if record_energies:
-                    energies[start:stop] = ener
+                energies[rows] = ener
     return EnsembleResult(
         params=params,
         t_grid=t_grid,

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_legendre
+from .quadrature import segment_quadrature
 
 TWO_PI = 2.0 * math.pi
 THERMAL_VARIANCE = 1.0 / TWO_PI
@@ -236,10 +236,10 @@ class AngleDistribution:
         """Integral of fn against the angle law."""
         if self.kind == "uniform":
             edges = np.linspace(-math.pi, math.pi, 513)
-            return _segment_integral(lambda t: fn(t) / TWO_PI, edges)
+            return segment_quadrature(lambda t: fn(t) / TWO_PI, edges)
         if self.kind == "atoms":
             return float(np.sum(self.atom_weights * fn(self.atom_thetas)))
-        return _segment_integral(lambda t: fn(t) * self.density(t), self._segments)
+        return segment_quadrature(lambda t: fn(t) * self.density(t), self._segments)
 
     def fourier_coefficient(self, m: int) -> complex:
         """Coefficient (1/(2 pi)) * integral of exp(-i m theta) against the law."""
@@ -270,17 +270,6 @@ class AngleDistribution:
             cdf /= cdf[-1]
             self._cdf = (knots, cdf)
         return self._cdf
-
-
-def _segment_integral(fn, edges: np.ndarray, order: int = 12) -> float:
-    x, w = gauss_legendre(order)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    pts = mid + half * x[None, :]
-    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-    return float(np.sum(vals * w[None, :] * half))
 
 
 @dataclass(frozen=True)
@@ -338,6 +327,37 @@ def collide_pair_3d(z: np.ndarray, pair: PairIndex, omega: np.ndarray) -> np.nda
     out[i] = out[i] - g * omega
     out[j] = out[j] + g * omega
     return out
+
+
+def collide(z: np.ndarray, i: np.ndarray, j: np.ndarray, param: np.ndarray) -> None:
+    """Apply one collision to every batch row of z, in place.
+
+    z is a C-contiguous array of shape (B, n, d, r): n particle blocks of d
+    coordinates, each carrying r columns (r=1 for velocity states, r=n*d for
+    word matrices).  Row b collides the 0-based particles i[b] and j[b].  In
+    d=1, param (B, 2) holds the cos and sin of the angle and the pair rotates
+    as in `rotate_pair_1d`; in d=3, param (B, 3) holds unit axes and the pair
+    exchanges its axis components as in `collide_pair_3d`.  cos=1, sin=0 and
+    a zero axis are exact no-ops.
+    """
+    if not z.flags.c_contiguous:
+        raise ValueError("collide needs a C-contiguous array to update in place")
+    batch, n, d = z.shape[:3]
+    flat = z.reshape(batch * n, d, -1)
+    base = np.arange(batch) * n
+    fi = base + i
+    fj = base + j
+    zi = flat[fi]
+    zj = flat[fj]
+    if d == 1:
+        c = param[:, 0, None, None]
+        s = param[:, 1, None, None]
+        flat[fi] = c * zi + s * zj
+        flat[fj] = c * zj - s * zi
+    else:
+        corr = param[:, :, None] * np.einsum("bc,bcm->bm", param, zi - zj)[:, None, :]
+        flat[fi] = zi - corr
+        flat[fj] = zj + corr
 
 
 def uniform_sphere(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -87,5 +87,5 @@ def segment_quadrature(fn, edges: np.ndarray, order: int = 12) -> float:
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     pts = mid + half * x[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
+    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
     return float(np.sum(vals * w[None, :] * half))

@@ -20,6 +20,7 @@ from .model import (
     AngleDistribution,
     GeneratorParams,
     PairIndex,
+    collide,
     sample_pairs_array,
     uniform_sphere,
 )
@@ -81,24 +82,9 @@ class SingularSpectrum:
 
 def realize_inverse_1d(i0: np.ndarray, j0: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     """Inverse matrices of words given by 0-based pair arrays of shape (B, k)."""
-    i0 = np.atleast_2d(i0)
-    j0 = np.atleast_2d(j0)
     thetas = np.atleast_2d(thetas)
-    batch, k = i0.shape
-    w = np.broadcast_to(np.eye(n), (batch, n, n)).copy()
-    rows = np.arange(batch)
-    cs = np.cos(thetas)
-    sn = np.sin(thetas)
-    for step in range(k):
-        i = i0[:, step]
-        j = j0[:, step]
-        c = cs[:, step][:, None]
-        s = sn[:, step][:, None]
-        ri = w[rows, i, :]
-        rj = w[rows, j, :]
-        w[rows, i, :] = c * ri - s * rj
-        w[rows, j, :] = s * ri + c * rj
-    return w
+    # the inverse of a word rotates each of its pairs back by theta
+    return _realize_inverse(i0, j0, np.stack([np.cos(thetas), -np.sin(thetas)], axis=-1), n, 1)
 
 
 def realize_inverse_3d(i0: np.ndarray, j0: np.ndarray, omegas: np.ndarray, n: int) -> np.ndarray:
@@ -107,25 +93,20 @@ def realize_inverse_3d(i0: np.ndarray, j0: np.ndarray, omegas: np.ndarray, n: in
     omegas has shape (B, k, 3); each collision is its own inverse, acting on
     the two 3-coordinate blocks of the pair.
     """
-    i0 = np.atleast_2d(i0)
-    j0 = np.atleast_2d(j0)
     if omegas.ndim == 2:
         omegas = omegas[None, :, :]
+    return _realize_inverse(i0, j0, omegas, n, 3)
+
+
+def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Row operations of the collisions in word order, applied to identity matrices."""
+    i0 = np.atleast_2d(i0)
+    j0 = np.atleast_2d(j0)
     batch, k = i0.shape
-    dim = 3 * n
-    w = np.broadcast_to(np.eye(dim), (batch, dim, dim)).copy()
-    rows = np.arange(batch)[:, None]
-    offs = np.arange(3)[None, :]
+    w = np.broadcast_to(np.eye(d * n), (batch, d * n, d * n)).copy()
+    blocks = w.reshape(batch, n, d, d * n)
     for step in range(k):
-        bi = 3 * i0[:, step][:, None] + offs
-        bj = 3 * j0[:, step][:, None] + offs
-        om = omegas[:, step, :]
-        ri = w[rows, bi, :]
-        rj = w[rows, bj, :]
-        g = np.einsum("bc,bcm->bm", om, ri - rj)
-        corr = om[:, :, None] * g[:, None, :]
-        w[rows, bi, :] = ri - corr
-        w[rows, bj, :] = rj + corr
+        collide(blocks, i0[:, step], j0[:, step], param[:, step])
     return w
 
 

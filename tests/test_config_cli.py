@@ -227,3 +227,13 @@ def test_cli_entropy_small_run(tmp_path):
     report = json.loads((out / "entropy_report.json").read_text())
     assert report["pass"] is True
     assert report["estimator"]["k"] == 4
+
+
+def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "never"
+    monkeypatch.setenv("KACBATH_WORKERS", "abc")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]

@@ -171,3 +171,108 @@ def test_trajectory_accessors(params28, uniform_rho):
     assert res.cloud(1).shape == (10, 2)
     rows = res.moment_rows()
     assert rows[0][0] == 0.0 and rows[0][3] == 10
+
+
+# ------------------------------------------------------ lockstep kernel
+
+
+def test_energy_drift_beyond_tolerance_raises(params28, uniform_rho, monkeypatch):
+    from kacbath import engine
+
+    monkeypatch.setattr(engine, "ENERGY_DRIFT_TOL", -1.0)
+    init = InitialCondition.gaussian_product(0.4)
+    with pytest.raises(SimulationError, match="energy drift"):
+        simulate_trajectory(params28, uniform_rho, init, [0.0, 1.0], trajectory_rng(51, 0))
+    cfg = EnsembleConfig(n_traj=50, t_grid=(0.0, 1.0), seed=51)
+    with pytest.raises(SimulationError, match="energy drift"):
+        simulate_ensemble(params28, uniform_rho, init, cfg)
+
+
+def test_shared_kernel_matches_scalar_collisions():
+    from kacbath.model import PairIndex, collide, collide_pair_3d, rotate_pair_1d, uniform_sphere
+
+    rng = trajectory_rng(52, 0)
+    batch, n = 64, 5
+    i = rng.integers(0, n - 1, batch)
+    j = i + 1 + (rng.random(batch) * (n - 1 - i)).astype(np.int64)
+    thetas = rng.uniform(-math.pi, math.pi, batch)
+    z1 = rng.normal(size=(batch, n))
+    state = z1.reshape(batch, n, 1, 1).copy()
+    collide(state, i, j, np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+    for b in range(batch):
+        expected = rotate_pair_1d(z1[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), thetas[b])
+        assert np.array_equal(state[b].ravel(), expected)
+    axes = uniform_sphere(rng, batch)
+    z3 = rng.normal(size=(batch, n, 3))
+    state = z3.reshape(batch, n, 3, 1).copy()
+    collide(state, i, j, axes)
+    for b in range(batch):
+        expected = collide_pair_3d(z3[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), axes[b])
+        assert np.max(np.abs(state[b].reshape(n, 3) - expected)) < 1e-14
+
+
+def test_shared_kernel_on_identity_reproduces_word_inverses():
+    from kacbath.model import PairIndex, collide, collide_pair_3d, rotate_pair_1d
+    from kacbath.words import realize_inverse_1d, realize_inverse_3d
+
+    n = 4
+    i0 = np.array([0, 1, 0, 2, 1])
+    j0 = np.array([2, 3, 1, 3, 2])
+    thetas = np.array([0.3, -1.7, 2.5, 0.9, -0.4])
+    axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.48, 0.6, 0.64], [0.0, 0.0, -1.0], [0.6, -0.8, 0.0]])
+    z = trajectory_rng(53, 0).normal(size=3 * n)
+    for d, params, inverse, oracle in (
+        (1, np.stack([np.cos(thetas), -np.sin(thetas)], axis=1), realize_inverse_1d(i0, j0, thetas, n)[0],
+         lambda out, pair, e: rotate_pair_1d(out, pair, thetas[e])),
+        (3, axes, realize_inverse_3d(i0[None], j0[None], axes[None], n)[0],
+         lambda out, pair, e: collide_pair_3d(out.reshape(n, 3), pair, axes[e]).ravel()),
+    ):
+        w = np.eye(d * n)[None].copy()
+        for e in range(len(i0)):
+            collide(w.reshape(1, n, d, d * n), i0[e:e + 1], j0[e:e + 1], params[e:e + 1])
+        assert np.array_equal(w[0], inverse)
+        # the word's matrix is the product in word order, so its last collision
+        # acts first; the inverse matrix undoes that
+        out = z[: d * n].copy()
+        for e in reversed(range(len(i0))):
+            out = oracle(out, PairIndex.of(int(i0[e]) + 1, int(j0[e]) + 1, 2), e)
+        assert np.max(np.abs(w[0] @ out - z[: d * n])) < 1e-14
+
+
+def test_window_without_events_keeps_state_bit_identical(params28, uniform_rho):
+    from kacbath.engine import _CHUNK
+
+    init = InitialCondition.gaussian_product(0.4)
+    cfg = EnsembleConfig(n_traj=_CHUNK, t_grid=(0.0, 0.05, 0.1),
+                         seed=54, record=("system_velocities", "collision_counts", "energies"))
+    res = simulate_ensemble(params28, uniform_rho, init, cfg)
+    # replay the chunk's Poisson draw: system block, bath block, then the counts
+    rng = trajectory_rng(54, 0)
+    init.sample_system(params28, rng, _CHUNK)
+    rng.normal(size=(_CHUNK, params28.N))
+    windows = np.diff([0.0, 0.0, 0.05, 0.1])
+    n_events = rng.poisson(params28.total_rate * windows, size=(_CHUNK, 3))
+    assert np.array_equal(res.counts.sum(axis=1), n_events.sum(axis=1))
+    quiet = n_events[:, 2] == 0
+    busy = n_events[:, 1] > 0
+    assert quiet.any() and busy.any()
+    assert np.array_equal(res.snapshots[quiet, 2], res.snapshots[quiet, 1])
+    assert np.array_equal(res.energies[quiet, 2], res.energies[quiet, 1])
+    assert not np.array_equal(res.snapshots[busy, 1], res.snapshots[busy, 0])
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, uniform_rho):
+    from kacbath.engine import _CHUNK
+
+    p = GeneratorParams(M=2, N=3, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=dimension)
+    rho = uniform_rho if dimension == 1 else None
+    init = InitialCondition.gaussian_product(0.3)
+    cfg = EnsembleConfig(n_traj=2 * _CHUNK + 17, t_grid=(0.0, 0.5, 1.0), seed=55,
+                         record=("system_velocities", "collision_counts", "energies"))
+    serial = simulate_ensemble(p, rho, init, cfg, workers=1)
+    parallel = simulate_ensemble(p, rho, init, cfg, workers=2)
+    assert serial.snapshots.shape == (2 * _CHUNK + 17, 3, 2 * dimension)
+    assert serial.snapshots.tobytes() == parallel.snapshots.tobytes()
+    assert serial.counts.tobytes() == parallel.counts.tobytes()
+    assert serial.energies.tobytes() == parallel.energies.tobytes()
