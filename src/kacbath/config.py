@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,14 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
     missing = required - set(section)
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+
+
+def _integer(value, minimum: int, where: str) -> int:
+    """A JSON integer >= minimum; an integral float such as 4.0 counts."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def build_params(section: dict) -> GeneratorParams:
@@ -150,16 +159,41 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "params" not in raw:
         raise ConfigError("config needs a 'params' section")
+    for key in sorted(TOP_LEVEL_KEYS & set(raw)):
+        if not isinstance(raw[key], dict):
+            raise ConfigError(f"'{key}' must be an object")
     params = build_params(raw["params"])
     rho = build_angle_distribution(raw["rho"]) if "rho" in raw else None
     if params.dimension == 1 and rho is None:
         raise ConfigError("dimension 1 requires a 'rho' section")
     initial = build_initial(raw["initial"]) if "initial" in raw else None
+    if initial is not None:
+        try:
+            initial.initial_moments(params)  # the mean's length and n_hot must fit params
+        except ValueError as exc:
+            raise ConfigError(f"invalid initial: {exc}") from exc
     ensemble = build_ensemble(raw["ensemble"]) if "ensemble" in raw else None
     entropy_options = dict(raw.get("entropy", {}))
     _require_keys(entropy_options, {"k", "bootstrap", "bias_margin"}, set(), "entropy")
+    if "k" in entropy_options:
+        entropy_options["k"] = _integer(entropy_options["k"], 1, "entropy.k")
+    if "bootstrap" in entropy_options:
+        entropy_options["bootstrap"] = _integer(entropy_options["bootstrap"], 2, "entropy.bootstrap")
+    if "bias_margin" in entropy_options:
+        bias = entropy_options["bias_margin"]
+        if isinstance(bias, bool) or not isinstance(bias, (int, float)) or not math.isfinite(bias):
+            raise ConfigError(f"entropy.bias_margin must be a finite number, got {bias!r}")
+        entropy_options["bias_margin"] = float(bias)
     envelope_options = dict(raw.get("envelope", {}))
     _require_keys(envelope_options, {"t_grid"}, set(), "envelope")
+    if "t_grid" in envelope_options:
+        try:
+            grid = [float(t) for t in envelope_options["t_grid"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid envelope.t_grid: {exc}") from exc
+        if not all(math.isfinite(t) and t >= 0 for t in grid):
+            raise ConfigError(f"envelope.t_grid must hold finite times >= 0, got {grid}")
+        envelope_options["t_grid"] = grid
     return ExperimentConfig(
         params=params,
         rho=rho,
@@ -171,9 +205,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse a JSON config file; NaN, Infinity and overflowing numbers are rejected."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_finite, parse_float=_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -97,7 +97,10 @@ class InitialCondition:
         return cls(kind="custom", sampler=sampler)
 
     def _hot_count(self, params: GeneratorParams) -> int:
-        return self.n_hot if self.n_hot is not None else (params.M + 1) // 2
+        hot = self.n_hot if self.n_hot is not None else (params.M + 1) // 2
+        if not 0 <= hot <= params.M:
+            raise ValueError(f"n_hot must be in 0..{params.M}, got {hot}")
+        return hot
 
     def system_variances(self, params: GeneratorParams) -> np.ndarray:
         """Per-coordinate variances of the system block (analytic kinds only)."""
@@ -157,6 +160,8 @@ class EnsembleConfig:
         if self.n_traj < 1:
             raise ValueError("n_traj must be >= 1")
         grid = np.asarray(self.t_grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("t_grid must be finite")
         if len(grid) < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValueError("t_grid must start at 0 and be strictly increasing")
         known = {"system_velocities", "collision_counts", "energies"}

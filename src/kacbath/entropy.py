@@ -65,7 +65,7 @@ def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     eps = dist[:, k]
     jittered = False
     if np.any(eps <= 0.0):
-        warnings.warn("duplicate samples: jittering at 1e-12 scale", stacklevel=3)
+        warnings.warn("duplicate samples: jittering at 1e-12 scale", stacklevel=4)
         jittered = True
         scale = JITTER_SCALE * max(1.0, float(np.sqrt(np.mean(points ** 2))))
         points = points + rng.normal(size=points.shape) * scale
@@ -75,13 +75,9 @@ def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     return np.log(eps), jittered
 
 
-def knn_differential_entropy(
-    cloud: SampleCloud | np.ndarray,
-    k: int = DEFAULT_K,
-    n_bootstrap: int = DEFAULT_BOOTSTRAP,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Nearest-neighbor estimate of -int f log f with bootstrap standard error."""
+def _knn_core(cloud, k: int, rng: np.random.Generator | None):
+    """Points (n, dim), log k-th neighbor distances, jitter flag, the constant
+    digamma(n) - digamma(k) + log|unit ball|, and the stream to resample with."""
     points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -90,14 +86,34 @@ def knn_differential_entropy(
         raise ValueError("need 1 <= k < n samples")
     rng = rng if rng is not None else np.random.default_rng(0)
     log_eps, jittered = _knn_log_distances(points, k, rng)
-    const = digamma(n) - digamma(k) + log_unit_ball_volume(dim)
-    contributions = dim * log_eps
-    value = const + float(contributions.mean())
+    return points, log_eps, jittered, digamma(n) - digamma(k) + log_unit_ball_volume(dim), rng
+
+
+def _bootstrap_se(contributions: np.ndarray, n_bootstrap: int, rng: np.random.Generator) -> float:
+    """Standard error of the mean of `contributions` from with-replacement resamples.
+
+    One draw per replicate: a single (n_bootstrap, n) index draw gives the same
+    numbers but holds n_bootstrap * n indices and was not faster.
+    """
+    if n_bootstrap < 2:
+        raise ValueError("need n_bootstrap >= 2 replicates")
+    n = len(contributions)
     replicates = np.empty(n_bootstrap)
     for b in range(n_bootstrap):
-        idx = rng.integers(0, n, n)
-        replicates[b] = contributions[idx].mean()
-    return value, float(replicates.std(ddof=1))
+        replicates[b] = contributions[rng.integers(0, n, n)].mean()
+    return float(replicates.std(ddof=1))
+
+
+def knn_differential_entropy(
+    cloud: SampleCloud | np.ndarray,
+    k: int = DEFAULT_K,
+    n_bootstrap: int = DEFAULT_BOOTSTRAP,
+    rng: np.random.Generator | None = None,
+) -> tuple[float, float]:
+    """Nearest-neighbor estimate of -int f log f with bootstrap standard error."""
+    points, log_eps, _, const, rng = _knn_core(cloud, k, rng)
+    contributions = points.shape[1] * log_eps
+    return const + float(contributions.mean()), _bootstrap_se(contributions, n_bootstrap, rng)
 
 
 def relative_entropy_to_thermal(
@@ -111,28 +127,14 @@ def relative_entropy_to_thermal(
     Combines the second-moment term and the differential-entropy term at the
     per-sample level so the bootstrap captures their correlation.
     """
-    points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points, log_eps, jittered, const, rng = _knn_core(cloud, k, rng)
     n, dim = points.shape
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n samples")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    log_eps, jittered = _knn_log_distances(points, k, rng)
-    const = digamma(n) - digamma(k) + log_unit_ball_volume(dim)
     moment_part = math.pi * np.sum(points ** 2, axis=1)
     contributions = moment_part - dim * log_eps
-    value = float(contributions.mean()) - const
-    replicates = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, n, n)
-        replicates[b] = contributions[idx].mean()
-    std_error = float(replicates.std(ddof=1))
-    h_value = const + float(dim * log_eps.mean())
     return EntropyEstimate(
-        value=value,
-        std_error=std_error,
-        differential_entropy=h_value,
+        value=float(contributions.mean()) - const,
+        std_error=_bootstrap_se(contributions, n_bootstrap, rng),
+        differential_entropy=const + float(dim * log_eps.mean()),
         second_moment_term=float(moment_part.mean()),
         estimator={
             "method": "knn",

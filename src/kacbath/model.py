@@ -53,8 +53,8 @@ class GeneratorParams:
             raise ValueError("particle counts must be integers")
         if self.M < 1 or self.N < 1:
             raise ValueError("particle counts must be positive")
-        if self.lambda_S < 0 or self.lambda_R < 0 or self.mu < 0:
-            raise ValueError("rates must be nonnegative")
+        if not all(math.isfinite(r) and r >= 0 for r in (self.lambda_S, self.lambda_R, self.mu)):
+            raise ValueError("rates must be finite and nonnegative")
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
 
@@ -87,16 +87,11 @@ class GeneratorParams:
         return np.array(self.kind_rates) / lam
 
     def pair_weight(self, i: int, j: int) -> float:
-        """Probability that a single jump picks the (1-based) pair i < j."""
-        pair = PairIndex.of(i, j, self.M)
-        lam = self.total_rate
-        if lam <= 0.0:
-            raise ValueError("total jump rate is zero")
-        if pair.kind == KIND_SYSTEM:
-            return self.lambda_S / (lam * (self.M - 1)) if self.M >= 2 else 0.0
-        if pair.kind == KIND_RESERVOIR:
-            return self.lambda_R / (lam * (self.N - 1)) if self.N >= 2 else 0.0
-        return self.mu / (lam * self.N)
+        """Probability that a single jump picks the (1-based) pair i < j: its
+        kind's probability, shared uniformly by the pairs of that kind."""
+        kind = KINDS.index(PairIndex.of(i, j, self.M).kind)
+        n_pairs = (self.M * (self.M - 1) // 2, self.N * (self.N - 1) // 2, self.M * self.N)[kind]
+        return float(self.kind_probabilities[kind]) / n_pairs
 
     @classmethod
     def classical_kac(cls, M: int, N: int, dimension: int = 1) -> "GeneratorParams":

@@ -49,6 +49,10 @@ def file_checksum(path: Path) -> str:
     return digest.hexdigest()
 
 
+def write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_manifest(
     out_dir: Path,
     version: str,
@@ -65,5 +69,5 @@ def write_manifest(
         "files": {f.name: file_checksum(f) for f in files},
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path

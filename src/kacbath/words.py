@@ -260,7 +260,6 @@ def _psd_sqrt(mat: np.ndarray, clamp: float = 1e-10) -> np.ndarray:
 @dataclass(frozen=True)
 class MarginalCheckResult:
     max_residual: float
-    refined_residual: float
     reliable: bool
 
 
@@ -304,7 +303,6 @@ def gaussian_marginal_check(
     res2 = residual(2 * order)
     return MarginalCheckResult(
         max_residual=res2,
-        refined_residual=res2,
         reliable=bool(abs(res2 - res) <= 1e-6),
     )
 

@@ -1,8 +1,12 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacbath.cli import main
 from kacbath.config import ConfigError, canonical_hash, load_config, parse_config
@@ -237,3 +241,73 @@ def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]
+
+
+# ------------------------------------------------------- bad inputs → exit 2
+
+NAN, INF = float("nan"), float("inf")
+SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
+
+
+@pytest.mark.parametrize("command, overrides, extra", [
+    ("simulate", {"params": {"M": 2, "N": 8, "lambda_S": 0.0, "lambda_R": 0.0, "mu": NAN}}, []),
+    ("simulate", {"ensemble": {"n_traj": 10, "t_grid": [0, INF], "seed": 1}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"bias_margin": NAN}}, []),
+    ("simulate", {"initial": {"kind": "shifted_gaussian", "mean": [0.5]}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"k": 2.5}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"k": "four"}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"k": 0}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"k": 10}}, []),
+    ("entropy", {"ensemble": {"n_traj": 1, "t_grid": [0, 1], "seed": 1}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"bootstrap": 1}}, []),
+    ("envelope", {"envelope": {"t_grid": [-1, 0, 1]}}, []),
+    ("envelope", {"initial": {"kind": "two_temperature", "s_hot": 0.5, "s_cold": 0.1, "n_hot": 3}}, []),
+    ("simulate", {"initial": {"kind": "two_temperature", "s_hot": 0.5, "s_cold": 0.1, "n_hot": -1}}, []),
+    ("discretize-angle", {}, ["--K", "0"]),
+    ("discretize-sphere", None, ["--L", "1", "--K", "3"]),
+    ("verify-sum-rule", {}, ["--k", "-1", "--n", "100"]),
+    ("verify-sum-rule", {}, ["--k", "2", "--n", "0"]),
+    ("verify-sum-rule", {"params": {"M": 2, "N": 8}}, ["--k", "2", "--n", "100"]),
+], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
+        "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
+        "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
+        "sum-rule-n-0", "sum-rule-zero-rates"])
+def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, command, overrides, extra):
+    argv = [command]
+    if overrides is not None:
+        argv += ["--config", str(write_config(tmp_path, overrides))]
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out)] + extra) == 2
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config"
+
+
+SMALL_CONFIG = {
+    **BASE_CONFIG,
+    "ensemble": {"n_traj": 40, "t_grid": [0, 0.5, 1], "seed": 99},
+    "entropy": {"k": 2, "bootstrap": 5, "bias_margin": 0.1},
+    "envelope": {"t_grid": [0, 1]},
+}
+FIELDS = [(section, key) for section, body in SMALL_CONFIG.items() for key in (None, *body)]
+ODD_VALUES = [NAN, INF, -INF, -1, -0.5, 0, "x", "1", [], [0.5], [0.5, -1.0, 2.0], {}]
+COMMANDS = [["simulate"], ["entropy"], ["envelope"], ["discretize-angle", "--K", "2"],
+            ["verify-sum-rule", "--k", "2", "--n", "50"]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(COMMANDS),
+       mutations=st.lists(st.tuples(st.sampled_from(FIELDS), st.sampled_from(ODD_VALUES)), min_size=1, max_size=3))
+def test_cli_any_config_exits_0_1_or_2(command, mutations):
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    for (section, key), value in mutations:
+        if key is None:
+            cfg[section] = value
+        elif isinstance(cfg[section], dict):
+            cfg[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        code = main([command[0], "--config", str(path), "--out", str(out), *command[1:]])
+        assert code in (0, 1, 2)
+        assert code != 2 or not out.exists()
