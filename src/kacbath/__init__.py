@@ -39,13 +39,11 @@ from .inequalities import (
 )
 from .model import (
     AngleDistribution,
-    CollisionEvent,
     GeneratorParams,
     PairIndex,
     collide_pair_3d,
     effective_coupling_rate,
     rotate_pair_1d,
-    sample_event,
 )
 from .moments import (
     DecayEnvelope,

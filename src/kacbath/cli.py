@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("envelope", "emit the decay envelope and moment predictions")
     p = add("verify-sum-rule", "Monte Carlo check of the word-average identity")
     p.add_argument("--k", type=int, required=True, help="word length")
-    p.add_argument("--n", type=int, required=True, help="number of sampled words")
+    p.add_argument("--n", type=int, required=True, help="number of sampled words (>= 2)")
     p = add("discretize-angle", "emit the discrete angle measure and its invariants")
     p.add_argument("--K", type=int, required=True, help="spectral order (4K+1 atoms)")
     p = add("discretize-sphere", "emit the sphere product rule and its invariants")
@@ -137,7 +137,7 @@ def cmd_envelope(args, cfg, seed):
 
 def cmd_verify_sum_rule(args, cfg, seed):
     _require_at_least(args, "k", 0)
-    _require_at_least(args, "n", 1)
+    _require_at_least(args, "n", 2)  # one word has no standard error
     if args.k > 0 and cfg.params.total_rate <= 0.0:
         raise ConfigError("words of length k >= 1 need a positive total jump rate")
     estimate = mc_sum_rule(args.k, cfg.params, cfg.rho, args.n, estimator_rng(seed, args.k))

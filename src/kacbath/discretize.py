@@ -150,9 +150,6 @@ class SphereQuadrature:
         """Weighted sum of omega omega^T; equals I/3 for orders >= 2."""
         return np.einsum("n,ni,nj->ij", self.weights, self.nodes, self.nodes)
 
-    def integrate(self, fn) -> float:
-        return float(np.sum(self.weights * fn(self.nodes)))
-
 
 def build_sphere_quadrature(polar_order: int, azimuthal_count: int) -> SphereQuadrature:
     """Discrete measure on the sphere exact for low-degree polynomial moments."""

@@ -267,23 +267,6 @@ class AngleDistribution:
         return self._cdf
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
-    """A single jump: waiting time, pair, and scattering parameter (angle or axis)."""
-
-    time: float
-    pair: PairIndex
-    parameter: float | np.ndarray
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError("waiting time must be nonnegative")
-        if isinstance(self.parameter, np.ndarray):
-            norm = float(np.linalg.norm(self.parameter))
-            if abs(norm - 1.0) > 1e-14:
-                raise ValueError(f"collision axis must be unit length, |omega| = {norm!r}")
-
-
 def effective_coupling_rate(params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
     """Cross-collision rate times the mean squared sine of the scattering angle.
 
@@ -394,29 +377,3 @@ def sample_pairs_array(
     a = np.select([kinds == 0, kinds == 1], [a_ss, a_rr], default=a_cr)
     b = np.select([kinds == 0, kinds == 1], [b_ss, b_rr], default=b_cr)
     return np.minimum(a, b), np.maximum(a, b), kinds
-
-
-def sample_pair(params: GeneratorParams, rng: np.random.Generator) -> PairIndex:
-    """Draw a pair with the jump-chain law (uniform within its kind)."""
-    i0, j0, _ = sample_pairs_array(params, rng, 1)
-    return PairIndex.of(int(i0[0]) + 1, int(j0[0]) + 1, params.M)
-
-
-def sample_event(
-    params: GeneratorParams,
-    rho: AngleDistribution | None,
-    rng: np.random.Generator,
-) -> CollisionEvent:
-    """Draw one jump of the pair process: Exp(total rate) wait, pair, parameter."""
-    lam = params.total_rate
-    if lam <= 0.0:
-        raise ValueError("total jump rate is zero; no events occur")
-    wait = float(rng.exponential(1.0 / lam))
-    pair = sample_pair(params, rng)
-    if params.dimension == 3:
-        parameter = uniform_sphere(rng, 1)[0]
-    else:
-        if rho is None:
-            raise ValueError("an angle distribution is required in dimension 1")
-        parameter = float(rho.sample(rng, 1)[0])
-    return CollisionEvent(time=wait, pair=pair, parameter=parameter)

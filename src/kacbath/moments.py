@@ -58,11 +58,6 @@ class MomentUpdateMatrix:
     def eigenvalues(self) -> tuple[float, float]:
         return (1.0, 1.0 - self.coupling * (1.0 + self.ratio))
 
-    @property
-    def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
-        frac = self.ratio / (1.0 + self.ratio)  # M / (M + N)
-        return (np.array([1.0, 1.0]), np.array([1.0 - frac, -frac]))
-
     def apply(self, moments: MomentPair) -> MomentPair:
         # Difference form keeps the equal-moment line exactly fixed.
         m1, m2 = moments.m1, moments.m2

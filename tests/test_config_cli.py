@@ -267,11 +267,12 @@ SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
     ("discretize-sphere", None, ["--L", "1", "--K", "3"]),
     ("verify-sum-rule", {}, ["--k", "-1", "--n", "100"]),
     ("verify-sum-rule", {}, ["--k", "2", "--n", "0"]),
+    ("verify-sum-rule", {}, ["--k", "2", "--n", "1"]),
     ("verify-sum-rule", {"params": {"M": 2, "N": 8}}, ["--k", "2", "--n", "100"]),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
-        "sum-rule-n-0", "sum-rule-zero-rates"])
+        "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, command, overrides, extra):
     argv = [command]
     if overrides is not None:

@@ -17,11 +17,13 @@ from kacbath.inequalities import (
     entropy_functional_1d,
     gaussian_integral_1d,
     gaussian_norm_1d,
+    _lebesgue_marginal_integral,
     heat_evolve,
     nelson_fixture_suite,
 )
 from kacbath.quadrature import gauss_hermite_physicists
 from kacbath.verification import (
+    HEAT_FLOW_TIMES,
     gaussian_heat_functions,
     random_positive_polynomials,
     standard_bl_data,
@@ -195,7 +197,7 @@ def test_entropy_dual_on_enumerated_data():
 
 def test_heat_evolve_preserves_lebesgue_mass():
     f = HeatFlowFunction.gaussian(1.3, center=np.array([0.2]))
-    evolved = heat_evolve(f, 1, 2.5, order=48)
+    evolved = heat_evolve(f, 1, 2.5)
     nodes, wts = gauss_hermite_physicists(80)
     scale = math.sqrt(2.0 / (1.3 / (1.0 + 4 * 1.3 * 2.5)))
     pts = scale * nodes[:, None] + 0.2
@@ -208,12 +210,44 @@ def test_heat_evolve_preserves_lebesgue_mass():
 def test_heat_evolve_matches_analytic_gaussian():
     a, t = 0.9, 3.0
     f = HeatFlowFunction.gaussian(a, center=np.array([0.3, -0.2]))
-    evolved = heat_evolve(f, 2, t, order=40)
+    evolved = heat_evolve(f, 2, t)
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]])
     denom = 1.0 + 4.0 * a * t
     centered = pts - np.array([0.3, -0.2])
     expected = denom ** -1.0 * np.exp(-a * np.sum(centered ** 2, axis=1) / denom)
     assert np.max(np.abs(evolved(pts) - expected)) < 1e-12
+
+
+def test_heat_evolve_is_a_semigroup():
+    f = HeatFlowFunction.gaussian(1.7, center=np.array([0.4, -0.1]), scale=0.8)
+    for dim in (1, 2):
+        stepped = heat_evolve(heat_evolve(f, dim, 0.6), dim, 2.3)
+        direct = heat_evolve(f, dim, 2.9)
+        assert stepped.decay == pytest.approx(direct.decay, rel=1e-14)
+        assert stepped.scale == pytest.approx(direct.scale, rel=1e-14)
+        assert stepped.center == direct.center
+
+
+def test_heat_evolve_conserves_marginal_mass():
+    f = HeatFlowFunction.gaussian(0.9, center=np.array([0.3, 0.5]), scale=1.4)
+    for dim in (0, 1, 2):
+        before = _lebesgue_marginal_integral(f, dim)
+        for t in (0.1, 1.0, 50.0):
+            after = _lebesgue_marginal_integral(heat_evolve(f, dim, t), dim)
+            assert after == pytest.approx(before, rel=1e-14)
+
+
+def test_heat_flow_two_order_rule():
+    # order 10 cannot resolve the flowed joint integral; the doubled order
+    # moves it by more than the sensitivity tolerance
+    _, _, datum = standard_bl_data()[1]
+    funcs = gaussian_heat_functions(datum, np.random.default_rng(7))
+    coarse = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES, order=10)
+    assert coarse.inconclusive
+    assert not coarse.passed
+    default = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES)
+    assert default.passed
+    assert not default.inconclusive
 
 
 def test_heat_flow_mass_conserving_datum():

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from kacbath import (
     AngleDistribution,
-    CollisionEvent,
     GeneratorParams,
     PairIndex,
     collide_pair_3d,
     effective_coupling_rate,
     rotate_pair_1d,
-    sample_event,
 )
 from kacbath.model import (
     InvalidDistributionError,
@@ -236,13 +234,6 @@ def test_collision_rejects_non_unit_axis():
 # ----------------------------------------------------------- event sampling
 
 
-def test_collision_event_validation():
-    with pytest.raises(ValueError):
-        CollisionEvent(time=-0.1, pair=PairIndex.of(1, 2, 2), parameter=0.3)
-    with pytest.raises(ValueError):
-        CollisionEvent(time=0.1, pair=PairIndex.of(1, 3, 2), parameter=np.array([1.0, 1.0, 0.0]))
-
-
 def test_kind_frequencies(params28, rng):
     n = 10 ** 6
     kinds = sample_pair_kinds(params28, rng, n)
@@ -266,18 +257,6 @@ def test_pairs_uniform_within_kind(params24, rng):
     assert np.all(np.abs(counts - expected) < 4 * math.sqrt(expected))
 
 
-def test_mean_waiting_time(params28, rng):
-    n = 200000
-    waits = np.array([sample_event(params28, AngleDistribution.uniform(), rng).time
-                      for _ in range(2000)])
-    lam = params28.total_rate
-    se = (1.0 / lam) / math.sqrt(len(waits))
-    assert abs(waits.mean() - 1.0 / lam) < 4 * se
-    # batched equivalent at full strength
-    batched = rng.exponential(1.0 / lam, n)
-    assert abs(batched.mean() - 1.0 / lam) < 4 * (1.0 / lam) / math.sqrt(n)
-
-
 def test_uniform_sphere_second_moment(rng):
     n = 10 ** 6
     oo = uniform_sphere(rng, n)
@@ -290,13 +269,3 @@ def test_uniform_sphere_second_moment(rng):
             target = 1.0 / 3.0 if a == b else 0.0
             tol = 4 * (se_diag if a == b else se_off)
             assert abs(cov[a, b] - target) < tol
-
-
-def test_sample_event_structure(params28, rng):
-    ev = sample_event(params28, AngleDistribution.uniform(), rng)
-    assert ev.time >= 0
-    assert 1 <= ev.pair.i < ev.pair.j <= 10
-    assert -math.pi <= ev.parameter <= math.pi
-    p3 = GeneratorParams(M=1, N=2, lambda_S=0, lambda_R=1, mu=1, dimension=3)
-    ev3 = sample_event(p3, None, rng)
-    assert abs(np.linalg.norm(ev3.parameter) - 1.0) < 1e-14
