@@ -11,6 +11,16 @@ from .engine import EnsembleConfig, InitialCondition
 from .model import AngleDistribution, GeneratorParams, InvalidDistributionError
 
 
+# Caps on the work one config may ask for, so that finite but huge values exit 2
+# instead of running for hours or failing inside numpy.  On a 2-core Xeon, one
+# envelope_poisson_sum time point at the event cap (expected collisions per
+# trajectory, total_rate * t_max) takes 1.6 s and 1e8 trajectories of the (2,8)
+# d=1 system take about an hour; 1e4 bootstrap replicates are 200 times the default.
+MAX_EVENTS_PER_TRAJECTORY = 1e6
+MAX_TRAJECTORIES = 10**8
+MAX_BOOTSTRAP = 10**4
+
+
 class ConfigError(ValueError):
     """Configuration failed to parse or validate."""
 
@@ -24,11 +34,11 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _integer(value, minimum: int, where: str) -> int:
-    """A JSON integer >= minimum; an integral float such as 4.0 counts."""
+def _integer(value, minimum: int, where: str, maximum: float = math.inf) -> int:
+    """A JSON integer in [minimum, maximum]; an integral float such as 4.0 counts."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not integral or not minimum <= value <= maximum:
+        raise ConfigError(f"{where} must be an integer in [{minimum}, {maximum}], got {value!r}")
     return int(value)
 
 
@@ -118,7 +128,7 @@ def build_ensemble(section: dict) -> EnsembleConfig:
     )
     try:
         return EnsembleConfig(
-            n_traj=int(section["n_traj"]),
+            n_traj=_integer(section["n_traj"], 1, "ensemble.n_traj", MAX_TRAJECTORIES),
             t_grid=tuple(float(t) for t in section["t_grid"]),
             seed=int(section["seed"]),
             record=tuple(section.get("record", ("system_velocities", "collision_counts"))),
@@ -178,7 +188,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "k" in entropy_options:
         entropy_options["k"] = _integer(entropy_options["k"], 1, "entropy.k")
     if "bootstrap" in entropy_options:
-        entropy_options["bootstrap"] = _integer(entropy_options["bootstrap"], 2, "entropy.bootstrap")
+        entropy_options["bootstrap"] = _integer(entropy_options["bootstrap"], 2, "entropy.bootstrap", MAX_BOOTSTRAP)
     if "bias_margin" in entropy_options:
         bias = entropy_options["bias_margin"]
         if isinstance(bias, bool) or not isinstance(bias, (int, float)) or not math.isfinite(bias):
@@ -194,6 +204,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if not all(math.isfinite(t) and t >= 0 for t in grid):
             raise ConfigError(f"envelope.t_grid must hold finite times >= 0, got {grid}")
         envelope_options["t_grid"] = grid
+    t_max = max([0.0, *envelope_options.get("t_grid", ()), *(ensemble.t_grid if ensemble is not None else ())])
+    expected = params.total_rate * t_max
+    if not expected <= MAX_EVENTS_PER_TRAJECTORY:  # also rejects inf and inf * 0 = nan
+        raise ConfigError(f"expected collisions per trajectory total_rate * t_max = {expected:g} "
+                          f"exceed MAX_EVENTS_PER_TRAJECTORY = {MAX_EVENTS_PER_TRAJECTORY:g}")
     return ExperimentConfig(
         params=params,
         rho=rho,

@@ -21,11 +21,11 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; imported here, forked pool workers inherit it
 
 from .model import (
     THERMAL_VARIANCE,
@@ -354,8 +354,13 @@ def simulate_ensemble(
     snapshots = np.empty((n, len(t_grid), params.dimension * params.M))
     counts = np.empty((n, 3), dtype=np.int64)
     energies = np.empty((n, len(t_grid))) if record_energies else None
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        chunks = pool.map(_simulate_chunk, jobs) if pool is not None else map(_simulate_chunk, jobs)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # imported here so one-worker runs skip it
+
+            chunks = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_simulate_chunk, jobs)
+        else:
+            chunks = map(_simulate_chunk, jobs)
         for index, (snaps, cnts, ener) in enumerate(chunks):
             rows = slice(index * _CHUNK, index * _CHUNK + len(snaps))
             snapshots[rows] = snaps

@@ -6,6 +6,8 @@ pi * E|v|^2 minus the differential entropy.  The differential entropy is
 estimated with the classic k-nearest-neighbor construction; standard errors
 come from bootstrapping the per-sample contributions (refitting neighbor
 graphs on with-replacement resamples would inject spurious zero distances).
+scipy is imported inside the kNN functions, not at module level, so commands
+that never estimate an entropy start without loading it.
 """
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln
 
 from .model import AngleDistribution, GeneratorParams
 from .moments import DecayEnvelope
@@ -56,10 +56,14 @@ class EntropyEstimate:
 
 
 def log_unit_ball_volume(dim: int) -> float:
+    from scipy.special import gammaln
+
     return 0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)
 
 
 def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     dist, _ = tree.query(points, k=k + 1, workers=-1)
     eps = dist[:, k]
@@ -78,6 +82,8 @@ def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> 
 def _knn_core(cloud, k: int, rng: np.random.Generator | None):
     """Points (n, dim), log k-th neighbor distances, jitter flag, the constant
     digamma(n) - digamma(k) + log|unit ball|, and the stream to resample with."""
+    from scipy.special import digamma
+
     points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, dtype=float)
     if points.ndim == 1:
         points = points[:, None]

@@ -139,7 +139,9 @@ def envelope_poisson_sum(
         if lam_t == 0.0:
             break
         if k > lam_t + 60.0 * math.sqrt(lam_t + 1.0) + 1000:
-            raise RuntimeError("Poisson sum failed to reach the requested tail mass")
+            # Bernstein's bound puts the Poisson mass beyond this k below e^-1590, so
+            # `cumulative` can fall short of 1 - tail here only by rounding (lam_t >~ 1e5).
+            break
     return total
 
 

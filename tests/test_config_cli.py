@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kacbath
 from kacbath.cli import main
 from kacbath.config import ConfigError, canonical_hash, load_config, parse_config
 from kacbath.output import read_snapshots, write_snapshots
@@ -243,10 +247,47 @@ def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
     assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]
 
 
+# ------------------------------------------------------------ cold import
+
+# Runs in a fresh interpreter, because this one has already loaded scipy.
+COLD_IMPORT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import kacbath
+from kacbath.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy.") or m == "concurrent.futures.process")
+
+config, out = sys.argv[2], sys.argv[3]
+codes = [main(["envelope", "--config", config, "--out", out + "/env"]),
+         main(["simulate", "--config", config, "--out", out + "/sim", "--workers", "1"])]
+before = loaded()
+entropy = main(["entropy", "--config", config, "--out", out + "/ent"])
+print(json.dumps({"codes": codes, "before": before, "entropy": entropy, "after": loaded()}))
+"""
+
+
+def test_cold_import_loads_scipy_only_for_entropy(tmp_path):
+    cfg_path = write_config(tmp_path, {"ensemble": {"n_traj": 200, "t_grid": [0, 1], "seed": 5}})
+    env = {key: value for key, value in os.environ.items() if key != "KACBATH_WORKERS"}
+    src = str(Path(kacbath.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT, src, str(cfg_path), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["before"] == []
+    assert report["entropy"] == 0
+    assert "scipy" in report["after"] and "concurrent.futures.process" not in report["after"]
+
+
 # ------------------------------------------------------- bad inputs → exit 2
 
 NAN, INF = float("nan"), float("inf")
 SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
+HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dimension": 1}
 
 
 @pytest.mark.parametrize("command, overrides, extra", [
@@ -269,10 +310,18 @@ SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
     ("verify-sum-rule", {}, ["--k", "2", "--n", "0"]),
     ("verify-sum-rule", {}, ["--k", "2", "--n", "1"]),
     ("verify-sum-rule", {"params": {"M": 2, "N": 8}}, ["--k", "2", "--n", "100"]),
+    ("simulate", {"params": HUGE_RATE}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "params": HUGE_RATE}, []),
+    ("envelope", {"params": HUGE_RATE}, []),
+    ("envelope", {"envelope": {"t_grid": [0, 1e6]}}, []),
+    ("simulate", {"ensemble": {"n_traj": 1e300, "t_grid": [0, 1], "seed": 1}}, []),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE, "entropy": {"bootstrap": 1e300}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
-        "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates"])
+        "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates", "lambda-1e300-simulate",
+        "lambda-1e300-entropy", "lambda-1e300-envelope", "envelope-t-1e6", "n_traj-1e300",
+        "bootstrap-1e300"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, command, overrides, extra):
     argv = [command]
     if overrides is not None:
@@ -291,7 +340,7 @@ SMALL_CONFIG = {
     "envelope": {"t_grid": [0, 1]},
 }
 FIELDS = [(section, key) for section, body in SMALL_CONFIG.items() for key in (None, *body)]
-ODD_VALUES = [NAN, INF, -INF, -1, -0.5, 0, "x", "1", [], [0.5], [0.5, -1.0, 2.0], {}]
+ODD_VALUES = [NAN, INF, -INF, -1, -0.5, 0, 1e300, "x", "1", [], [0.5], [0.5, -1.0, 2.0], {}]
 COMMANDS = [["simulate"], ["entropy"], ["envelope"], ["discretize-angle", "--K", "2"],
             ["verify-sum-rule", "--k", "2", "--n", "50"]]
 
