@@ -19,6 +19,7 @@ from .model import AngleDistribution, GeneratorParams, InvalidDistributionError
 MAX_EVENTS_PER_TRAJECTORY = 1e6
 MAX_TRAJECTORIES = 10**8
 MAX_BOOTSTRAP = 10**4
+MAX_INITIAL_SCALE = 1e50  # on initial variances and |mean|: fourth moments and their SEs stay finite
 
 
 class ConfigError(ValueError):
@@ -178,6 +179,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("dimension 1 requires a 'rho' section")
     initial = build_initial(raw["initial"]) if "initial" in raw else None
     if initial is not None:
+        scales = (initial.s, initial.s_hot or 0.0, initial.s_cold or 0.0, *(initial.mean or ()))
+        if not all(abs(x) <= MAX_INITIAL_SCALE for x in scales):  # also rejects nan
+            raise ConfigError(f"initial variances and |mean| must be at most {MAX_INITIAL_SCALE:g}, got {scales}")
         try:
             initial.initial_moments(params)  # the mean's length and n_hot must fit params
         except ValueError as exc:

@@ -217,7 +217,7 @@ def decay_check(
 ) -> DecayReport:
     """Verdict per observation time of estimate <= envelope * S0 + 3 SE + bias.
 
-    Failures become report rows, not exceptions.
+    Failures, a non-finite estimate or SE among them, become report rows, not exceptions.
     """
     if len(estimates) != len(t_grid):
         raise ValueError("one estimate per observation time required")
@@ -235,7 +235,7 @@ def decay_check(
                 std_error=est.std_error,
                 envelope=d_t,
                 bound=bound,
-                passed=bool(est.value <= bound),
+                passed=bool(np.isfinite([est.value, est.std_error]).all() and est.value <= bound),
             )
         )
     return DecayReport(rows=tuple(rows), s0=s0, bias_margin=bias_margin)

@@ -352,8 +352,9 @@ def uniform_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
 def sample_pair_kinds(params: GeneratorParams, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw event kinds 0 (system), 1 (bath), 2 (cross) with the jump-chain law."""
     cum = np.cumsum(params.kind_probabilities)
-    kinds = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(kinds, 2).astype(np.int64)
+    u = rng.random(size)
+    # the number of cum[0], cum[1] at or below u: a u past a rounded cum[2] < 1 stays kind 2
+    return (u >= cum[0]).astype(np.int64) + (u >= cum[1])
 
 
 def sample_pairs_array(
@@ -364,16 +365,13 @@ def sample_pairs_array(
     kinds = sample_pair_kinds(params, rng, size)
     u1 = rng.random(size)
     u2 = rng.random(size)
-    # Uniform unordered pair within a population of n: first member uniform,
-    # second uniform over the rest with a shift past the first.
-    a_ss = np.minimum((u1 * M).astype(np.int64), M - 1)
-    b_ss = np.minimum((u2 * max(M - 1, 1)).astype(np.int64), max(M - 2, 0))
-    b_ss = b_ss + (b_ss >= a_ss)
-    a_rr = M + np.minimum((u1 * N).astype(np.int64), N - 1)
-    b_rr = np.minimum((u2 * max(N - 1, 1)).astype(np.int64), max(N - 2, 0))
-    b_rr = M + b_rr + (b_rr + M >= a_rr)
-    a_cr = np.minimum((u1 * M).astype(np.int64), M - 1)
-    b_cr = M + np.minimum((u2 * N).astype(np.int64), N - 1)
-    a = np.select([kinds == 0, kinds == 1], [a_ss, a_rr], default=a_cr)
-    b = np.select([kinds == 0, kinds == 1], [b_ss, b_rr], default=b_cr)
+    # Uniform unordered pair within its kind (system, bath, cross): first member
+    # uniform, second uniform over its population, shifted past the first in one.
+    size_a = np.array([M, N, M], dtype=float)[kinds]
+    size_b = np.array([max(M - 1, 1), max(N - 1, 1), N], dtype=float)[kinds]
+    a = np.minimum(u1 * size_a, size_a - 1).astype(np.int64)
+    b = np.minimum(u2 * size_b, size_b - 1).astype(np.int64)
+    b += np.array([1, 1, 0])[kinds] & (b >= a)
+    a += np.array([0, M, 0])[kinds]
+    b += np.array([0, M, M])[kinds]
     return np.minimum(a, b), np.maximum(a, b), kinds

@@ -188,6 +188,14 @@ def test_decay_check_flags_violations(params28, uniform_rho):
     assert report.rows[0].margin < 0
 
 
+def test_decay_check_fails_non_finite_estimate_or_se(params28, uniform_rho):
+    inf, nan = float("inf"), float("nan")
+    estimates = [_fake_estimate(0.1, se=inf), _fake_estimate(-inf), _fake_estimate(nan), _fake_estimate(0.1, se=nan)]
+    report = decay_check([2.0] * 4, estimates, 0.3, params28, uniform_rho)
+    assert [row.passed for row in report.rows] == [False] * 4
+    assert decay_check([2.0], [_fake_estimate(0.1)], 0.3, params28, uniform_rho).all_passed
+
+
 def test_decay_check_default_bias_margin(params28, uniform_rho):
     report = decay_check([0.0], [_fake_estimate(0.1)], 0.1, params28, uniform_rho)
     assert report.bias_margin == pytest.approx(0.04)

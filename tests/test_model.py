@@ -257,6 +257,43 @@ def test_pairs_uniform_within_kind(params24, rng):
     assert np.all(np.abs(counts - expected) < 4 * math.sqrt(expected))
 
 
+def _select_pairs_oracle(params, rng, size):
+    """The earlier pair draw: every kind's candidates from the same uniforms, then np.select."""
+    M, N = params.M, params.N
+    cum = np.cumsum(params.kind_probabilities)
+    kinds = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), 2).astype(np.int64)
+    u1 = rng.random(size)
+    u2 = rng.random(size)
+    a_ss = np.minimum((u1 * M).astype(np.int64), M - 1)
+    b_ss = np.minimum((u2 * max(M - 1, 1)).astype(np.int64), max(M - 2, 0))
+    b_ss = b_ss + (b_ss >= a_ss)
+    a_rr = M + np.minimum((u1 * N).astype(np.int64), N - 1)
+    b_rr = np.minimum((u2 * max(N - 1, 1)).astype(np.int64), max(N - 2, 0))
+    b_rr = M + b_rr + (b_rr + M >= a_rr)
+    a_cr = np.minimum((u1 * M).astype(np.int64), M - 1)
+    b_cr = M + np.minimum((u2 * N).astype(np.int64), N - 1)
+    a = np.select([kinds == 0, kinds == 1], [a_ss, a_rr], default=a_cr)
+    b = np.select([kinds == 0, kinds == 1], [b_ss, b_rr], default=b_cr)
+    return np.minimum(a, b), np.maximum(a, b), kinds
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0),
+                                   (0.7, 0.0, 0.0)],
+                         ids=["all", "lambda_S-0", "lambda_R-0", "mu-0", "system-only"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 8), (1, 200), (3, 3)])
+def test_pair_draw_matches_select_oracle_bit_for_bit(shape, rates):
+    params = GeneratorParams(*shape, *rates)
+    if params.total_rate == 0.0:
+        pytest.skip("no kind has a population at a positive rate")
+    for seed in range(5):
+        got = sample_pairs_array(params, np.random.default_rng(seed), 3001)
+        want = _select_pairs_oracle(params, np.random.default_rng(seed), 3001)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    kinds = sample_pair_kinds(params, np.random.default_rng(9), 3001)
+    assert np.array_equal(kinds, _select_pairs_oracle(params, np.random.default_rng(9), 3001)[2])
+
+
 def test_uniform_sphere_second_moment(rng):
     n = 10 ** 6
     oo = uniform_sphere(rng, n)

@@ -18,7 +18,8 @@ from kacbath import (
     sum_rule_constant,
 )
 from kacbath.engine import trajectory_rng
-from kacbath.words import gaussian_marginal_check, realize_inverse_1d
+from kacbath.model import sample_pairs_array, uniform_sphere
+from kacbath.words import _realize_inverse, gaussian_marginal_check, realize_inverse_1d, realize_inverse_3d
 
 
 def test_empty_word_is_identity(params24, uniform_rho, rng):
@@ -152,6 +153,69 @@ def test_mc_sum_rule_error_shrinks_with_samples(params24, uniform_rho):
     large = mc_sum_rule(2, params24, uniform_rho, 16000, trajectory_rng(13, 1))
     ratio = large.std_error.max() / small.std_error.max()
     assert ratio < 0.65  # ~ n^(-1/2): quadrupling samples halves the error
+
+
+def test_mc_sum_rule_needs_rho_in_dimension_1(params24, rng):
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="angle distribution is required in dimension 1"):
+            mc_sum_rule(k, params24, None, 10, rng)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_column_limited_realizer_is_first_columns_of_full(d, uniform_rho):
+    rng = trajectory_rng(15, d)
+    n, batch, k = 10, 7, 9
+    i0, j0, _ = sample_pairs_array(GeneratorParams(M=2, N=8, lambda_S=1, lambda_R=1, mu=1), rng, batch * k)
+    i0, j0 = i0.reshape(batch, k), j0.reshape(batch, k)
+    if d == 1:
+        param = uniform_rho.sample(rng, batch * k).reshape(batch, k)
+        full = realize_inverse_1d(i0, j0, param, n)
+    else:
+        param = uniform_sphere(rng, batch * k).reshape(batch, k, 3)
+        full = realize_inverse_3d(i0, j0, param, n)
+    # a single d=3 column goes through another einsum loop in `collide`; mc_sum_rule carries 3M >= 3
+    for cols in range(1 if d == 1 else 2, d * n + 1):
+        assert np.array_equal(_realize_inverse(i0, j0, param, n, d, cols), full[:, :, :cols])
+
+
+def _full_matrix_sum_rule(k, params, rho, n_words, rng, chunk):
+    """Reference: realize every full inverse matrix of a chunk at once, then keep A."""
+    d, n, dm = params.dimension, params.n_particles, params.dimension * params.M
+    total, total_sq, done = np.zeros((dm, dm)), np.zeros((dm, dm)), 0
+    while done < n_words:
+        b = min(chunk, n_words - done)
+        if k == 0:
+            aat = np.broadcast_to(np.eye(dm), (b, dm, dm))
+        else:
+            i0, j0, _ = sample_pairs_array(params, rng, b * k)
+            i0, j0 = i0.reshape(b, k), j0.reshape(b, k)
+            if d == 1:
+                inv = realize_inverse_1d(i0, j0, rho.sample(rng, b * k).reshape(b, k), n)
+            else:
+                inv = realize_inverse_3d(i0, j0, uniform_sphere(rng, b * k).reshape(b, k, 3), n)
+            a = inv[:, :dm, :dm]
+            aat = np.einsum("bij,bkj->bik", a, a)
+        total += aat.sum(axis=0)
+        total_sq += (aat * aat).sum(axis=0)
+        done += b
+    z_hat = total / n_words
+    var = (total_sq - n_words * z_hat * z_hat) / (n_words - 1)
+    return z_hat, np.sqrt(np.clip(var, 0.0, None) / n_words)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_mc_sum_rule_matches_full_matrix_reference_bit_for_bit(d, k, uniform_rho):
+    # 2900 words in chunks of 1300, 1300 and 300: a full chunk spans two realizer slices
+    from kacbath import words
+
+    assert words._SLICE_WORDS < 1300 < 2 * words._SLICE_WORDS
+    p = GeneratorParams(M=2, N=3, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=d)
+    est = mc_sum_rule(k, p, uniform_rho, 2900, trajectory_rng(16, k), chunk=1300)
+    z_hat, se = _full_matrix_sum_rule(k, p, uniform_rho, 2900, trajectory_rng(16, k), 1300)
+    assert np.array_equal(est.z_hat, z_hat)
+    assert np.array_equal(est.std_error, se)
+    assert est.predicted == sum_rule_constant(k, p, uniform_rho)
 
 
 def test_batch_realization_matches_single(params24, uniform_rho):
