@@ -56,12 +56,10 @@ from .moments import (
 )
 from .words import (
     BlockDecomposition,
-    RotationWord,
     SingularSpectrum,
     build_bl_datum,
     decompose,
     gaussian_marginal_check,
     mc_sum_rule,
-    sample_word,
     sigma_subset_weights,
 )

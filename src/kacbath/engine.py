@@ -32,8 +32,7 @@ from .model import (
     AngleDistribution,
     GeneratorParams,
     collide,
-    sample_pairs_array,
-    uniform_sphere,
+    sample_collisions,
 )
 from .moments import MomentPair
 
@@ -259,18 +258,15 @@ def _draw_collisions(params, rho, rng, occurs: np.ndarray):
     slots = np.flatnonzero(occurs)
     i = np.zeros(steps * size, dtype=np.int64)
     j = np.ones(steps * size, dtype=np.int64)
-    i[slots], j[slots], kinds = sample_pairs_array(params, rng, len(slots))
+    i[slots], j[slots], kinds, drawn = sample_collisions(params, rho, rng, len(slots))
     if params.dimension == 1:
-        if rho is None:
-            raise ValueError("an angle distribution is required in dimension 1")
-        thetas = rho.sample(rng, len(slots))
         param = np.zeros((2, steps * size))
         param[0] = 1.0
-        param[0, slots] = np.cos(thetas)
-        param[1, slots] = np.sin(thetas)
+        param[0, slots] = np.cos(drawn)
+        param[1, slots] = np.sin(drawn)
     else:
         param = np.zeros((3, steps * size))
-        param[:, slots] = uniform_sphere(rng, len(slots)).T
+        param[:, slots] = drawn.T
     param = param.reshape(-1, steps, size).transpose(1, 2, 0)
     return i.reshape(steps, size), j.reshape(steps, size), param, slots % size, kinds
 
@@ -299,15 +295,6 @@ class EnsembleResult:
     @property
     def n_traj(self) -> int:
         return self.snapshots.shape[0]
-
-    def trajectory(self, index: int) -> Trajectory:
-        energies = self.energies[index] if self.energies is not None else None
-        return Trajectory(
-            t_grid=self.t_grid,
-            snapshots=self.snapshots[index],
-            counts=self.counts[index],
-            energies=energies,
-        )
 
     def cloud(self, time_index: int) -> np.ndarray:
         """System velocity samples at one observation time, shape (n_traj, d*M)."""

@@ -11,27 +11,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_hermite_gaussian, gauss_hermite_physicists, tensor_rule
+from .quadrature import gauss_hermite_physicists, gaussian_tensor_rule, tensor_rule
 
 MARGIN_TOL = -1e-8
 SENSITIVITY_TOL = 1e-6
 LOG_FLOOR = 1e-300
-
-
-@lru_cache(maxsize=None)
-def _gaussian_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return gauss_hermite_gaussian(order)
-
-
-@lru_cache(maxsize=None)
-def _gaussian_tensor(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gaussian_rule(order)
-    return tensor_rule(x, w, dim)
 
 
 @dataclass(frozen=True)
@@ -80,19 +68,19 @@ class TestFunction1D:
 
 def gaussian_integral_1d(h, order: int = 96) -> float:
     """Integral of h against the unit Gaussian weight."""
-    x, w = _gaussian_rule(order)
-    return float(np.dot(h(x), w))
+    x, w = gaussian_tensor_rule(order, 1)
+    return float(np.dot(h(x[:, 0]), w))
 
 
 def gaussian_norm_1d(h, p: float, order: int = 96) -> float:
-    x, w = _gaussian_rule(order)
-    return float(np.dot(np.abs(h(x)) ** p, w) ** (1.0 / p))
+    x, w = gaussian_tensor_rule(order, 1)
+    return float(np.dot(np.abs(h(x[:, 0])) ** p, w) ** (1.0 / p))
 
 
 def entropy_functional_1d(h, order: int = 96) -> float:
     """Integral of h log h against the Gaussian weight (0 log 0 := 0)."""
-    x, w = _gaussian_rule(order)
-    vals = np.clip(h(x), 0.0, None)
+    x, w = gaussian_tensor_rule(order, 1)
+    vals = np.clip(h(x[:, 0]), 0.0, None)
     logs = np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)), 0.0)
     return float(np.dot(vals * logs, w))
 
@@ -108,7 +96,8 @@ def ou_apply(h: TestFunction1D, t: float, order: int = 64) -> TestFunction1D:
         return h
     decay = math.exp(-t)
     spread = math.sqrt(1.0 - decay * decay)
-    nodes, wts = _gaussian_rule(order)
+    nodes, wts = gaussian_tensor_rule(order, 1)
+    nodes = nodes[:, 0]
 
     def evolved(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -230,13 +219,13 @@ def bl_inequality_check(
         raise ValueError("tensor quadrature is capped at ambient dimension 3")
 
     def margin_at(q: int) -> float:
-        pts, wts = _gaussian_tensor(q, m)
+        pts, wts = gaussian_tensor_rule(q, m)
         joint = np.ones(len(pts))
         rhs = 1.0
         for b, c, fn in zip(datum.maps, datum.weights, functions):
             vals = np.clip(_eval_factor(fn, pts @ b.T), 0.0, None)
             joint *= vals ** c
-            mpts, mwts = _gaussian_tensor(q, b.shape[0])
+            mpts, mwts = gaussian_tensor_rule(q, b.shape[0])
             marg = float(np.dot(_eval_factor(fn, mpts), mwts))
             rhs *= marg ** c
         lhs = float(np.dot(joint, wts))
@@ -254,7 +243,7 @@ def entropy_dual_check(
         raise ValueError("tensor quadrature is capped at ambient dimension 3")
 
     def margin_at(q: int) -> float:
-        pts, wts = _gaussian_tensor(q, m)
+        pts, wts = gaussian_tensor_rule(q, m)
         hv = np.clip(np.asarray(h(pts), dtype=float).ravel(), 0.0, None)
         mass = float(np.dot(hv, wts))
         hv = hv / mass
@@ -268,7 +257,7 @@ def entropy_dual_check(
                 floored = True
                 vals = np.clip(vals, LOG_FLOOR, None)
             term = float(np.dot(hv * np.log(vals), wts))
-            mpts, mwts = _gaussian_tensor(q, b.shape[0])
+            mpts, mwts = gaussian_tensor_rule(q, b.shape[0])
             marg = float(np.dot(_eval_factor(fn, mpts), mwts))
             bound += c * (term - math.log(marg))
         if floored:

@@ -375,3 +375,16 @@ def sample_pairs_array(
     a += np.array([0, M, 0])[kinds]
     b += np.array([0, M, M])[kinds]
     return np.minimum(a, b), np.maximum(a, b), kinds
+
+
+def sample_collisions(
+    params: GeneratorParams, rho: AngleDistribution | None, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`size` i.i.d. jump-chain collisions: the pairs first (0-based i, j and kinds, as
+    `sample_pairs_array`), then their angles (size,) from rho in d=1 or unit axes (size, 3)
+    in d=3.  The engine and the sum rule both draw through here."""
+    if params.dimension == 1 and rho is None:
+        raise ValueError("an angle distribution is required in dimension 1")
+    i, j, kinds = sample_pairs_array(params, rng, size)
+    param = rho.sample(rng, size) if params.dimension == 1 else uniform_sphere(rng, size)
+    return i, j, kinds, param

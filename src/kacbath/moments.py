@@ -118,26 +118,25 @@ def envelope_poisson_sum(
     Truncated once the remaining Poisson tail mass drops below `tail`; since
     each factor lies in [-1, 1] the truncation error is below that mass.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     lam_t = params.total_rate * t
     if lam_t == 0.0:
         return 1.0  # no jumps: only the k = 0 term, whose factor is 1
     M, N = params.M, params.N
     ell2 = MomentUpdateMatrix.from_params(params, rho).eigenvalues[1]
-    log_lam_t = math.log(lam_t) if lam_t > 0 else -math.inf
+    log_lam_t = math.log(lam_t)
     total = 0.0
     cumulative = 0.0
-    k = 0
+    # The left tail bound P(k) <= exp(-(lam_t - k)^2 / (2 lam_t)) puts every earlier
+    # term below e^-800, which math.exp rounds to 0.0: skipping them changes no bit.
+    k = max(0, math.floor(lam_t - 40.0 * math.sqrt(lam_t)))
     while cumulative < 1.0 - tail:
-        log_p = -lam_t + k * log_lam_t - math.lgamma(k + 1) if lam_t > 0 else (0.0 if k == 0 else -math.inf)
-        p = math.exp(log_p)
+        p = math.exp(-lam_t + k * log_lam_t - math.lgamma(k + 1))
         c_k = M / (N + M) + (N / (N + M)) * ell2 ** k
         total += p * c_k
         cumulative += p
         k += 1
-        if lam_t == 0.0:
-            break
         if k > lam_t + 60.0 * math.sqrt(lam_t + 1.0) + 1000:
             # Bernstein's bound puts the Poisson mass beyond this k below e^-1590, so
             # `cumulative` can fall short of 1 - tail here only by rounding (lam_t >~ 1e5).

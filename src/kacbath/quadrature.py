@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,6 +76,16 @@ def tensor_rule(nodes: np.ndarray, weights: np.ndarray, dim: int) -> tuple[np.nd
     wts = np.ones(len(pts))
     for wgrid in np.meshgrid(*([weights] * dim), indexing="ij"):
         wts *= wgrid.ravel()
+    return pts, wts
+
+
+@lru_cache(maxsize=None)
+def gaussian_tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`gauss_hermite_gaussian(order)` tensorized to `dim` dimensions, built once per
+    (order, dim); the cached arrays are shared, so they are returned read-only."""
+    pts, wts = tensor_rule(*gauss_hermite_gaussian(order), dim)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
     return pts, wts
 
 

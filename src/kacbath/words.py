@@ -2,9 +2,10 @@
 
 A word of k collisions realizes an orthogonal matrix on R^(d(M+N)); the
 top-left block A of its inverse controls how the system marginal mixes with
-the bath.  This module samples words, decomposes A, Monte Carlo-estimates
-the averaged sum rule E[A A^T] = c_k I, and enumerates the weighted
-projection data that satisfy the geometric sum rule exactly.
+the bath.  This module realizes words given as pair and parameter arrays
+(random words come from `model.sample_collisions`), decomposes A,
+Monte Carlo-estimates the averaged sum rule E[A A^T] = c_k I, and enumerates
+the weighted projection data that satisfy the geometric sum rule exactly.
 """
 from __future__ import annotations
 
@@ -19,40 +20,14 @@ from .inequalities import BLDatum
 from .model import (
     AngleDistribution,
     GeneratorParams,
-    PairIndex,
     collide,
-    sample_pairs_array,
-    uniform_sphere,
+    sample_collisions,
 )
 from .moments import sum_rule_constant
-from .quadrature import gauss_hermite_gaussian, tensor_rule
+from .quadrature import gaussian_tensor_rule, tensor_rule
 
 GAMMA_CLAMP = 1e-10
 _SLICE_WORDS = 1024  # words mc_sum_rule realizes at once: 1.5 MB in d=3 (2,8), within a 2 MB L2
-
-
-@dataclass(frozen=True)
-class RotationWord:
-    """A sequence of pair collisions together with its realized inverse matrix."""
-
-    pairs: tuple[PairIndex, ...]
-    parameters: np.ndarray  # (k,) angles or (k, 3) unit axes
-    inverse_matrix: np.ndarray
-    dimension: int
-    M: int
-    N: int
-
-    @property
-    def k(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.inverse_matrix.T
-
-    def orthogonality_defect(self) -> float:
-        w = self.inverse_matrix
-        return float(np.max(np.abs(w @ w.T - np.eye(w.shape[0]))))
 
 
 @dataclass(frozen=True)
@@ -116,43 +91,9 @@ def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, 
     return w
 
 
-def sample_word(
-    k: int,
-    params: GeneratorParams,
-    rho: AngleDistribution | None,
-    rng: np.random.Generator,
-) -> RotationWord:
-    """Word of k collisions with jump-chain pair weights and i.i.d. parameters."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = params.n_particles
-    d = params.dimension
-    if k == 0:
-        size = n if d == 1 else 3 * n
-        params_arr = np.zeros((0,)) if d == 1 else np.zeros((0, 3))
-        return RotationWord(
-            pairs=(), parameters=params_arr, inverse_matrix=np.eye(size),
-            dimension=d, M=params.M, N=params.N,
-        )
-    i0, j0, _ = sample_pairs_array(params, rng, k)
-    pairs = tuple(PairIndex.of(int(i) + 1, int(j) + 1, params.M) for i, j in zip(i0, j0))
-    if d == 1:
-        if rho is None:
-            raise ValueError("an angle distribution is required in dimension 1")
-        thetas = rho.sample(rng, k)
-        inv = realize_inverse_1d(i0, j0, thetas, n)[0]
-        return RotationWord(pairs=pairs, parameters=thetas, inverse_matrix=inv,
-                            dimension=1, M=params.M, N=params.N)
-    omegas = uniform_sphere(rng, k)
-    inv = realize_inverse_3d(i0, j0, omegas[None, :, :], n)[0]
-    return RotationWord(pairs=pairs, parameters=omegas, inverse_matrix=inv,
-                        dimension=3, M=params.M, N=params.N)
-
-
-def decompose(word: RotationWord) -> tuple[BlockDecomposition, SingularSpectrum]:
-    """Split the inverse word matrix into blocks and decompose the system block."""
-    dm = word.dimension * word.M
-    inv = word.inverse_matrix
+def decompose(inv: np.ndarray, dm: int) -> tuple[BlockDecomposition, SingularSpectrum]:
+    """Split an inverse word matrix at the dm = d*M system coordinates into blocks and
+    decompose the system block."""
     blocks = BlockDecomposition(
         a=inv[:dm, :dm], b=inv[:dm, dm:], c=inv[dm:, :dm], d=inv[dm:, dm:]
     )
@@ -225,13 +166,10 @@ def mc_sum_rule(
         if k == 0:
             aat = np.broadcast_to(np.eye(dm), (b, dm, dm))
         else:
-            i0, j0, _ = sample_pairs_array(params, rng, b * k)
+            i0, j0, _, param = sample_collisions(params, rho, rng, b * k)
             i0 = i0.reshape(b, k)
             j0 = j0.reshape(b, k)
-            if d == 1:
-                param = rho.sample(rng, b * k).reshape(b, k)
-            else:
-                param = uniform_sphere(rng, b * k).reshape(b, k, 3)
+            param = param.reshape(b, k, *param.shape[1:])
             aat = np.empty((b, dm, dm))
             for s in range(0, b, _SLICE_WORDS):
                 sl = slice(s, s + _SLICE_WORDS)
@@ -302,8 +240,8 @@ def gaussian_marginal_check(
     sqrt_rest = _psd_sqrt(np.eye(m) - a @ a.T)
 
     def residual(q: int) -> float:
-        wpts, wwts = tensor_rule(*gauss_hermite_gaussian(q), n_res)
-        upts, uwts = tensor_rule(*gauss_hermite_gaussian(q), m)
+        wpts, wwts = gaussian_tensor_rule(q, n_res)
+        upts, uwts = gaussian_tensor_rule(q, m)
         av = v_points @ a.T
         lhs_args = av[:, None, :] + (wpts @ b.T)[None, :, :]
         rhs_args = av[:, None, :] + (upts @ sqrt_rest.T)[None, :, :]
@@ -371,15 +309,9 @@ def build_bl_datum(
             w_word = lam_weight * math.prod(float(atom_weights[a]) for a in atom_choice)
             if w_word == 0.0:
                 continue
-            if d == 1:
-                th = np.array([[atoms[a] for a in atom_choice]], dtype=float)
-                inv = realize_inverse_1d(i0, j0, th, n)[0] if k else np.eye(n)
-            else:
-                om = np.array([[atoms[a] for a in atom_choice]], dtype=float).reshape(1, k, 3)
-                inv = realize_inverse_3d(i0, j0, om, n)[0] if k else np.eye(3 * n)
-            word = RotationWord(pairs=(), parameters=np.zeros(0), inverse_matrix=inv,
-                                dimension=d, M=params.M, N=params.N)
-            _, spectrum = decompose(word)
+            param = np.array([[atoms[a] for a in atom_choice]], dtype=float)
+            inv = _realize_inverse(i0, j0, param.reshape((1, k) if d == 1 else (1, k, 3)), n, d)[0]
+            _, spectrum = decompose(inv, dm)
             subsets, subset_w = sigma_subset_weights(spectrum.gammas)
             for sigma, sw in zip(subsets, subset_w):
                 c = w_word * sw / c_km
@@ -388,8 +320,6 @@ def build_bl_datum(
                 keep = [i for i in range(dm) if i not in sigma]
                 maps.append(spectrum.u.T[keep, :])
                 weights.append(c)
-        if k == 0:
-            break
     datum = BLDatum(maps=maps, weights=np.array(weights))
     datum.validate(tol=tol)
     return datum

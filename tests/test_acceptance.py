@@ -37,7 +37,6 @@ from kacbath.verification import (
     run_nelson_suite,
 )
 from kacbath.words import (
-    RotationWord,
     decompose,
     gaussian_marginal_check,
     realize_inverse_1d,
@@ -212,9 +211,7 @@ def test_criterion_8_structural_properties():
     for idx in range(n_words):
         inv = inverses[idx]
         worst["orth"] = max(worst["orth"], float(np.max(np.abs(inv @ inv.T - eye6))))
-        word = RotationWord(pairs=(), parameters=np.zeros(0), inverse_matrix=inv,
-                            dimension=1, M=2, N=4)
-        blocks, spectrum = decompose(word)
+        blocks, spectrum = decompose(inv, 2)
         worst["blocks"] = max(worst["blocks"], blocks.block_identity_defect())
         worst["gamma"] = max(
             worst["gamma"],

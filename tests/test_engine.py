@@ -148,6 +148,12 @@ def test_custom_sampler_and_nan_abort(params28, uniform_rho):
         init.initial_moments(params28)
 
 
+def test_engine_needs_rho_in_dimension_1(params28):
+    init = InitialCondition.thermal()
+    with pytest.raises(ValueError, match="an angle distribution is required in dimension 1"):
+        simulate_trajectory(params28, None, init, [0.0, 1.0], trajectory_rng(52, 0))
+
+
 def test_ensemble_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(n_traj=0, t_grid=(0.0,), seed=1)
@@ -165,9 +171,8 @@ def test_trajectory_accessors(params28, uniform_rho):
         n_traj=10, t_grid=(0.0, 1.0), seed=9, record=("system_velocities", "collision_counts", "energies")
     )
     res = simulate_ensemble(params28, uniform_rho, init, cfg)
-    traj = res.trajectory(3)
-    assert traj.snapshots.shape == (2, 2)
-    assert traj.counts.shape == (3,)
+    assert res.snapshots[3].shape == (2, 2)
+    assert res.counts[3].shape == (3,)
     assert res.cloud(1).shape == (10, 2)
     rows = res.moment_rows()
     assert rows[0][0] == 0.0 and rows[0][3] == 10

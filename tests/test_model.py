@@ -14,8 +14,10 @@ from kacbath import (
     effective_coupling_rate,
     rotate_pair_1d,
 )
+from kacbath.engine import trajectory_rng
 from kacbath.model import (
     InvalidDistributionError,
+    sample_collisions,
     sample_pair_kinds,
     sample_pairs_array,
     uniform_sphere,
@@ -292,6 +294,23 @@ def test_pair_draw_matches_select_oracle_bit_for_bit(shape, rates):
             assert g.dtype == w.dtype and np.array_equal(g, w)
     kinds = sample_pair_kinds(params, np.random.default_rng(9), 3001)
     assert np.array_equal(kinds, _select_pairs_oracle(params, np.random.default_rng(9), 3001)[2])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_sample_collisions_is_pairs_then_parameters(d, uniform_rho):
+    # the engine and the sum rule share this draw: pairs first, then angles or axes
+    p = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=d)
+    got = sample_collisions(p, uniform_rho if d == 1 else None, trajectory_rng(17, 0), 1001)
+    rng = trajectory_rng(17, 0)
+    want = (*sample_pairs_array(p, rng, 1001),
+            uniform_rho.sample(rng, 1001) if d == 1 else uniform_sphere(rng, 1001))
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def test_sample_collisions_needs_rho_in_dimension_1(params28):
+    with pytest.raises(ValueError, match="an angle distribution is required in dimension 1"):
+        sample_collisions(params28, None, trajectory_rng(17, 1), 10)
 
 
 def test_uniform_sphere_second_moment(rng):

@@ -6,6 +6,7 @@ import pytest
 from kacbath.quadrature import (
     gauss_hermite_gaussian,
     gauss_legendre,
+    gaussian_tensor_rule,
     legendre_value_and_derivative,
     segment_quadrature,
     tensor_rule,
@@ -60,6 +61,19 @@ def test_tensor_rule_dim_zero():
     pts, wts = tensor_rule(np.array([1.0]), np.array([2.0]), 0)
     assert pts.shape == (1, 0)
     assert wts.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_tensor_rule_is_the_cached_tensor_rule(dim):
+    pts, wts = gaussian_tensor_rule(6, dim)
+    ref_pts, ref_wts = tensor_rule(*gauss_hermite_gaussian(6), dim)
+    assert np.array_equal(pts, ref_pts) and np.array_equal(wts, ref_wts)
+    assert gaussian_tensor_rule(6, dim)[0] is pts
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0  # shared by every caller, so read-only
+    if dim == 1:  # 1-D users read column 0: the plain rule, bit for bit
+        x, w = gauss_hermite_gaussian(6)
+        assert np.array_equal(pts[:, 0], x) and np.array_equal(wts, w)
 
 
 def test_segment_quadrature_trig():

@@ -13,27 +13,38 @@ from kacbath import (
     build_discrete_angle_measure,
     decompose,
     mc_sum_rule,
-    sample_word,
     sigma_subset_weights,
     sum_rule_constant,
 )
 from kacbath.engine import trajectory_rng
-from kacbath.model import sample_pairs_array, uniform_sphere
+from kacbath.model import PairIndex, sample_collisions, sample_pairs_array, uniform_sphere
 from kacbath.words import _realize_inverse, gaussian_marginal_check, realize_inverse_1d, realize_inverse_3d
 
 
+def _random_word(k, params, rho, rng):
+    """One word of k collisions: its pairs, parameters and realized inverse matrix."""
+    i0, j0, _, param = sample_collisions(params, rho, rng, k)
+    pairs = [PairIndex.of(int(i) + 1, int(j) + 1, params.M) for i, j in zip(i0, j0)]
+    inv = _realize_inverse(i0[None], j0[None], param[None], params.n_particles, params.dimension)[0]
+    return pairs, param, inv
+
+
+def _orthogonality_defect(inv):
+    return float(np.max(np.abs(inv @ inv.T - np.eye(inv.shape[0]))))
+
+
 def test_empty_word_is_identity(params24, uniform_rho, rng):
-    w = sample_word(0, params24, uniform_rho, rng)
-    assert np.array_equal(w.inverse_matrix, np.eye(6))
-    blocks, spectrum = decompose(w)
+    _, _, inv = _random_word(0, params24, uniform_rho, rng)
+    assert np.array_equal(inv, np.eye(6))
+    blocks, spectrum = decompose(inv, 2)
     assert np.array_equal(blocks.a, np.eye(2))
     assert np.allclose(spectrum.gammas, 1.0)
 
 
 def test_long_word_orthogonality(params24, uniform_rho, rng):
-    w = sample_word(50, params24, uniform_rho, rng)
-    assert w.orthogonality_defect() < 1e-12
-    blocks, spectrum = decompose(w)
+    _, _, inv = _random_word(50, params24, uniform_rho, rng)
+    assert _orthogonality_defect(inv) < 1e-12
+    blocks, spectrum = decompose(inv, 2)
     assert blocks.block_identity_defect() < 1e-12
     assert np.all(spectrum.gammas >= 0.0) and np.all(spectrum.gammas <= 1.0)
     assert spectrum.reconstruction_defect(blocks.a) < 1e-12
@@ -53,11 +64,7 @@ def test_single_cross_rotation_spectrum():
     theta = 0.83
     p = GeneratorParams(M=2, N=2, lambda_S=1, lambda_R=1, mu=1)
     inv = realize_inverse_1d(np.array([[0]]), np.array([[2]]), np.array([[theta]]), 4)[0]
-    from kacbath.words import RotationWord
-
-    w = RotationWord(pairs=(), parameters=np.zeros(0), inverse_matrix=inv,
-                     dimension=1, M=2, N=2)
-    _, spectrum = decompose(w)
+    _, spectrum = decompose(inv, p.dimension * p.M)
     assert sorted(np.round(spectrum.gammas, 12).tolist()) == sorted(
         np.round([1.0, abs(math.cos(theta))], 12).tolist()
     )
@@ -65,11 +72,7 @@ def test_single_cross_rotation_spectrum():
 
 def test_single_system_rotation_keeps_unit_spectrum(params24, rng):
     inv = realize_inverse_1d(np.array([[0]]), np.array([[1]]), np.array([[1.1]]), 6)[0]
-    from kacbath.words import RotationWord
-
-    w = RotationWord(pairs=(), parameters=np.zeros(0), inverse_matrix=inv,
-                     dimension=1, M=2, N=4)
-    blocks, spectrum = decompose(w)
+    blocks, spectrum = decompose(inv, 2)
     assert np.allclose(spectrum.gammas, 1.0, atol=1e-14)
     assert np.max(np.abs(blocks.b)) == 0.0
 
@@ -78,20 +81,20 @@ def test_realize_matches_kernel_application(params24, uniform_rho, rng):
     # applying the inverse word matrix equals composing the collision maps backwards
     from kacbath.model import rotate_pair_1d
 
-    w = sample_word(6, params24, uniform_rho, rng)
+    pairs, thetas, inv = _random_word(6, params24, uniform_rho, rng)
     z = rng.normal(size=6)
     out = z.copy()
     # the realized matrix is the product in word order, so the last factor acts first
-    for pair, theta in zip(reversed(w.pairs), reversed(w.parameters)):
+    for pair, theta in zip(reversed(pairs), reversed(thetas)):
         out = rotate_pair_1d(out, pair, theta)
-    assert np.max(np.abs(w.matrix @ z - out)) < 1e-12
+    assert np.max(np.abs(inv.T @ z - out)) < 1e-12
 
 
 def test_realize_3d_orthogonal(rng):
     p = GeneratorParams(M=1, N=2, lambda_S=0, lambda_R=1, mu=1, dimension=3)
-    w = sample_word(7, p, None, rng)
-    assert w.orthogonality_defect() < 1e-12
-    blocks, spectrum = decompose(w)
+    _, _, inv = _random_word(7, p, None, rng)
+    assert _orthogonality_defect(inv) < 1e-12
+    blocks, spectrum = decompose(inv, 3)
     assert blocks.a.shape == (3, 3)
     assert np.all(spectrum.gammas <= 1.0)
 
@@ -258,8 +261,8 @@ def test_marginal_check_random_word_blocks(uniform_rho):
     p = GeneratorParams(M=2, N=2, lambda_S=1, lambda_R=1, mu=1)
     rng = trajectory_rng(15, 0)
     for _ in range(10):
-        w = sample_word(5, p, uniform_rho, rng)
-        blocks, _ = decompose(w)
+        _, _, inv = _random_word(5, p, uniform_rho, rng)
+        blocks, _ = decompose(inv, 2)
         res = gaussian_marginal_check(blocks.a, blocks.b, _poly_h)
         assert res.max_residual <= 1e-8
         assert res.reliable
