@@ -132,7 +132,7 @@ def build_ensemble(section: dict) -> EnsembleConfig:
             n_traj=_integer(section["n_traj"], 1, "ensemble.n_traj", MAX_TRAJECTORIES),
             t_grid=tuple(float(t) for t in section["t_grid"]),
             seed=int(section["seed"]),
-            record=tuple(section.get("record", ("system_velocities", "collision_counts"))),
+            record=tuple(section.get("record", ("system_velocities",))),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid ensemble: {exc}") from exc

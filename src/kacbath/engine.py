@@ -153,7 +153,7 @@ class EnsembleConfig:
     n_traj: int
     t_grid: tuple[float, ...]
     seed: int
-    record: tuple[str, ...] = ("system_velocities", "collision_counts")
+    record: tuple[str, ...] = ("system_velocities",)
 
     def __post_init__(self):
         if self.n_traj < 1:
@@ -163,7 +163,7 @@ class EnsembleConfig:
             raise ValueError("t_grid must be finite")
         if len(grid) < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValueError("t_grid must start at 0 and be strictly increasing")
-        known = {"system_velocities", "collision_counts", "energies"}
+        known = {"system_velocities", "energies"}
         unknown = set(self.record) - known
         if unknown:
             raise ValueError(f"unknown record keys: {sorted(unknown)}")

@@ -56,11 +56,6 @@ def gauss_legendre(order: int, tol: float = 1e-14, max_iter: int = 100) -> tuple
     return x[idx], w[idx]
 
 
-def gauss_hermite_physicists(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-x^2) on the line."""
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def gauss_hermite_gaussian(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against the unit-mass weight exp(-pi x^2)."""
     x, w = np.polynomial.hermite.hermgauss(order)

@@ -114,19 +114,16 @@ def run_bl_suite(order: int = 20, seed: int = 2024) -> dict:
 
 
 def run_heat_flow_suite(t_grid=HEAT_FLOW_TIMES, order: int = 40, seed: int = 7) -> dict:
+    # `order` does nothing now that Phi(t) is a closed form; bench/tracing.py::heat_flow_counts reads its default.
     results = []
     for label, params, datum in standard_bl_data():
-        if datum.ambient_dim > 2:
-            continue
         rng = np.random.default_rng(seed)
         funcs = gaussian_heat_functions(datum, rng)
-        res = heat_flow_monotonicity_check(datum, funcs, t_grid, order=order)
-        results.append((label, res))
+        results.append((label, heat_flow_monotonicity_check(datum, funcs, t_grid)))
     return {
         "n_checks": len(results),
         "min_fd_derivative": min(float(r.finite_differences.min()) for _, r in results),
         "max_limit_rel_error": max(r.limit_relative_error for _, r in results),
-        "n_inconclusive": sum(r.inconclusive for _, r in results),
         "pass": all(r.passed for _, r in results),
     }
 

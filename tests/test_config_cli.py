@@ -321,12 +321,14 @@ HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dim
     ("entropy", {"ensemble": SMALL_ENSEMBLE, "initial": {"kind": "gaussian_product", "s": 1e300}}, []),
     ("simulate", {"initial": {"kind": "two_temperature", "s_hot": 1e300, "s_cold": 0.1}}, []),
     ("simulate", {"initial": {"kind": "shifted_gaussian", "mean": [0.0, -1e300]}}, []),
+    ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "record": ["collision_counts"]}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
         "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates", "lambda-1e300-simulate",
         "lambda-1e300-entropy", "lambda-1e300-envelope", "envelope-t-1e6", "n_traj-1e300",
-        "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300"])
+        "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300",
+        "record-collision_counts"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, command, overrides, extra):
     argv = [command]
     if overrides is not None:

@@ -47,7 +47,7 @@ def test_fast_coupling_reaches_equipartition(uniform_rho):
 
 def test_ensemble_reproducible_across_workers(params28, uniform_rho):
     init = InitialCondition.gaussian_product(0.3)
-    cfg = EnsembleConfig(n_traj=3000, t_grid=(0.0, 0.5, 1.0), seed=123, record=("system_velocities", "collision_counts", "energies"))
+    cfg = EnsembleConfig(n_traj=3000, t_grid=(0.0, 0.5, 1.0), seed=123, record=("system_velocities", "energies"))
     serial = simulate_ensemble(params28, uniform_rho, init, cfg, workers=1)
     parallel = simulate_ensemble(params28, uniform_rho, init, cfg, workers=4)
     assert np.array_equal(serial.snapshots, parallel.snapshots)
@@ -168,7 +168,7 @@ def test_ensemble_config_validation():
 def test_trajectory_accessors(params28, uniform_rho):
     init = InitialCondition.gaussian_product(0.3)
     cfg = EnsembleConfig(
-        n_traj=10, t_grid=(0.0, 1.0), seed=9, record=("system_velocities", "collision_counts", "energies")
+        n_traj=10, t_grid=(0.0, 1.0), seed=9, record=("system_velocities", "energies")
     )
     res = simulate_ensemble(params28, uniform_rho, init, cfg)
     assert res.snapshots[3].shape == (2, 2)
@@ -249,7 +249,7 @@ def test_window_without_events_keeps_state_bit_identical(params28, uniform_rho):
 
     init = InitialCondition.gaussian_product(0.4)
     cfg = EnsembleConfig(n_traj=_CHUNK, t_grid=(0.0, 0.05, 0.1),
-                         seed=54, record=("system_velocities", "collision_counts", "energies"))
+                         seed=54, record=("system_velocities", "energies"))
     res = simulate_ensemble(params28, uniform_rho, init, cfg)
     # replay the chunk's Poisson draw: system block, bath block, then the counts
     rng = trajectory_rng(54, 0)
@@ -274,7 +274,7 @@ def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, unif
     rho = uniform_rho if dimension == 1 else None
     init = InitialCondition.gaussian_product(0.3)
     cfg = EnsembleConfig(n_traj=2 * _CHUNK + 17, t_grid=(0.0, 0.5, 1.0), seed=55,
-                         record=("system_velocities", "collision_counts", "energies"))
+                         record=("system_velocities", "energies"))
     serial = simulate_ensemble(p, rho, init, cfg, workers=1)
     parallel = simulate_ensemble(p, rho, init, cfg, workers=2)
     assert serial.snapshots.shape == (2 * _CHUNK + 17, 3, 2 * dimension)

@@ -21,11 +21,12 @@ from kacbath.inequalities import (
     heat_evolve,
     nelson_fixture_suite,
 )
-from kacbath.quadrature import gauss_hermite_physicists
+from kacbath.quadrature import tensor_rule
 from kacbath.verification import (
     HEAT_FLOW_TIMES,
     gaussian_heat_functions,
     random_positive_polynomials,
+    run_heat_flow_suite,
     standard_bl_data,
 )
 
@@ -123,6 +124,8 @@ def test_datum_validation_catches_errors():
         BLDatum(maps=[np.array([[1.0, 1.0]])], weights=np.array([1.0])).validate()
     with pytest.raises(ValueError):
         BLDatum(maps=[np.eye(2)], weights=np.array([0.5])).validate()
+    with pytest.raises(ValueError):
+        BLDatum(maps=[np.eye(2), np.eye(2)], weights=np.array([1.0])).validate()
 
 
 def test_bl_inequality_trivial_cases():
@@ -198,7 +201,7 @@ def test_entropy_dual_on_enumerated_data():
 def test_heat_evolve_preserves_lebesgue_mass():
     f = HeatFlowFunction.gaussian(1.3, center=np.array([0.2]))
     evolved = heat_evolve(f, 1, 2.5)
-    nodes, wts = gauss_hermite_physicists(80)
+    nodes, wts = np.polynomial.hermite.hermgauss(80)
     scale = math.sqrt(2.0 / (1.3 / (1.0 + 4 * 1.3 * 2.5)))
     pts = scale * nodes[:, None] + 0.2
     weights = np.exp(np.log(wts) + nodes ** 2) * scale
@@ -237,24 +240,51 @@ def test_heat_evolve_conserves_marginal_mass():
             assert after == pytest.approx(before, rel=1e-14)
 
 
-def test_heat_flow_two_order_rule():
-    # order 10 cannot resolve the flowed joint integral; the doubled order
-    # moves it by more than the sensitivity tolerance
-    _, _, datum = standard_bl_data()[1]
-    funcs = gaussian_heat_functions(datum, np.random.default_rng(7))
-    coarse = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES, order=10)
-    assert coarse.inconclusive
-    assert not coarse.passed
-    default = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES)
-    assert default.passed
-    assert not default.inconclusive
+def _tensor_joint_integral(datum, evolved, order=40):
+    """Reference for Phi: tensor Gauss-Hermite rule scaled to the widest flowed factor."""
+    nodes, wts = np.polynomial.hermite.hermgauss(order)
+    a_min = min(f.decay for f, b in zip(evolved, datum.maps) if b.shape[0])
+    scale = math.sqrt(2.0 / a_min)
+    pts, weights = tensor_rule(scale * nodes, wts * np.exp(nodes * nodes) * scale, datum.ambient_dim)
+    joint = np.ones(len(pts))
+    for f, b, c in zip(evolved, datum.maps, datum.weights):
+        joint *= f(pts @ b.T) ** c
+    return float(joint @ weights)
+
+
+def test_heat_flow_closed_form_matches_tensor_quadrature():
+    for label, _, datum in standard_bl_data():
+        funcs = gaussian_heat_functions(datum, np.random.default_rng(7))
+        limit_time = 50.0
+        res = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES, limit_time=limit_time)
+        for t, phi in zip((*HEAT_FLOW_TIMES, limit_time), (*res.lhs, res.limit_value)):
+            evolved = [heat_evolve(f, b.shape[0], t) for f, b in zip(funcs, datum.maps)]
+            reference = _tensor_joint_integral(datum, evolved)
+            assert phi == pytest.approx(reference, rel=1e-12), (label, t)
+
+
+def test_heat_flow_suite_covers_every_standard_datum():
+    report = run_heat_flow_suite()
+    assert report["n_checks"] == len(standard_bl_data())
+    assert report["pass"]
+
+
+def test_heat_flow_zero_row_map_contributes_its_scale():
+    flat = BLDatum(maps=[np.eye(2)], weights=np.array([1.0]))
+    padded = BLDatum(maps=[np.eye(2), np.zeros((0, 2))], weights=np.array([1.0, 0.5]))
+    f = HeatFlowFunction.gaussian(1.1, center=np.array([0.1, 0.2]))
+    g = HeatFlowFunction.gaussian(1.0, center=np.zeros(0), scale=3.0)
+    base = heat_flow_monotonicity_check(flat, [f], (0.5, 2.0))
+    res = heat_flow_monotonicity_check(padded, [f, g], (0.5, 2.0))
+    assert res.lhs == pytest.approx(math.sqrt(3.0) * base.lhs, rel=1e-14)
+    assert res.rhs == pytest.approx(math.sqrt(3.0) * base.rhs, rel=1e-14)
 
 
 def test_heat_flow_mass_conserving_datum():
     # single identity map: the flowed joint integral is constant in t
     datum = BLDatum(maps=[np.eye(2)], weights=np.array([1.0]))
     funcs = [HeatFlowFunction.gaussian(1.1, center=np.array([0.1, 0.2]))]
-    res = heat_flow_monotonicity_check(datum, funcs, (0.5, 2.0, 10.0), order=40)
+    res = heat_flow_monotonicity_check(datum, funcs, (0.5, 2.0, 10.0))
     assert res.passed
     assert np.max(np.abs(res.lhs - res.rhs)) < 1e-8 * abs(res.rhs)
 
@@ -263,14 +293,45 @@ def test_heat_flow_monotone_on_word_datum():
     _, _, datum = standard_bl_data()[1]
     rng = np.random.default_rng(8)
     funcs = gaussian_heat_functions(datum, rng)
-    res = heat_flow_monotonicity_check(datum, funcs, (0.25, 0.5, 1.0, 2.0, 5.0), order=36)
+    res = heat_flow_monotonicity_check(datum, funcs, (0.25, 0.5, 1.0, 2.0, 5.0))
     assert np.all(res.finite_differences >= -1e-6)
     assert res.limit_relative_error <= 0.02
     assert res.passed
 
 
-def test_heat_flow_rejects_large_dimension():
-    datum = BLDatum(maps=[np.eye(3)], weights=np.array([1.0]))
-    funcs = [HeatFlowFunction.gaussian(1.0, center=np.zeros(3))]
+@pytest.mark.parametrize("decay, scale", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)])
+def test_heat_flow_function_rejects_nonpositive_parameters(decay, scale):
     with pytest.raises(ValueError):
-        heat_flow_monotonicity_check(datum, funcs, (0.5,))
+        HeatFlowFunction(decay=decay, center=(0.0,), scale=scale)
+    with pytest.raises(ValueError):
+        HeatFlowFunction.gaussian(decay, scale=scale)
+
+
+# ------------------------------------------------- factor/map count mismatch
+
+
+def _short_word_datum():
+    _, _, datum = standard_bl_data()[1]
+    assert len(datum.maps) == 10
+    return datum
+
+
+def test_bl_inequality_rejects_too_few_functions():
+    datum = _short_word_datum()
+    funcs = random_positive_polynomials(datum, np.random.default_rng(5))[:7]
+    with pytest.raises(ValueError):
+        bl_inequality_check(datum, funcs, order=8)
+
+
+def test_entropy_dual_rejects_too_few_functions():
+    datum = _short_word_datum()
+    funcs = random_positive_polynomials(datum, np.random.default_rng(5))[:7]
+    with pytest.raises(ValueError):
+        entropy_dual_check(datum, funcs, HeatFlowFunction.gaussian(1.2, center=np.zeros(2)), order=8)
+
+
+def test_heat_flow_rejects_too_few_functions():
+    datum = _short_word_datum()
+    funcs = gaussian_heat_functions(datum, np.random.default_rng(7))[:7]
+    with pytest.raises(ValueError):
+        heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES)
