@@ -23,6 +23,7 @@ from .discretize import build_discrete_angle_measure, build_sphere_quadrature
 from .engine import SimulationError, estimator_rng, simulate_ensemble
 from .entropy import (DEFAULT_BOOTSTRAP, DEFAULT_K, decay_check, gaussian_initial_entropy,
                       relative_entropy_to_thermal)
+from .model import InvalidDistributionError
 from .moments import envelope, envelope_poisson_sum, propagate_moments
 from .output import write_csv, write_json, write_manifest, write_snapshots
 from .verification import angle_measure_report, run_inequality_suite, sphere_rule_report
@@ -157,10 +158,14 @@ def cmd_discretize_angle(args, cfg, seed):
     if cfg.rho is None:
         raise ConfigError("discretize-angle needs a rho section")
     _require_at_least(args, "K", 1)
-    measure = build_discrete_angle_measure(cfg.rho, args.K)
+    try:  # a law within 1e-12 of unit mass can round past it on the grid
+        measure = build_discrete_angle_measure(cfg.rho, args.K)
+    except InvalidDistributionError as exc:
+        raise ConfigError(f"discretized rho: {exc}") from None
     report = angle_measure_report(measure)
+    law = measure.law
     files = {
-        "angle_measure.csv": (["theta", "weight"], list(zip(measure.thetas.tolist(), measure.weights.tolist()))),
+        "angle_measure.csv": (["theta", "weight"], list(zip(law.atom_thetas.tolist(), law.atom_weights.tolist()))),
         "angle_invariants.json": report,
     }
     return files, report, report["pass"]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import EnsembleConfig, InitialCondition
-from .model import AngleDistribution, GeneratorParams, InvalidDistributionError
+from .model import THERMAL_VARIANCE, AngleDistribution, GeneratorParams, InvalidDistributionError
 
 
 # Caps on the work one config may ask for, so that finite but huge values exit 2
@@ -113,7 +113,7 @@ def build_initial(section: dict) -> InitialCondition:
         if kind == "shifted_gaussian":
             _require_keys(section, {"kind", "mean", "s"}, {"kind", "mean"}, "initial")
             mean = [float(x) for x in section["mean"]]
-            s = float(section.get("s", 1.0 / (2.0 * 3.141592653589793)))
+            s = float(section.get("s", THERMAL_VARIANCE))
             return InitialCondition.shifted_gaussian(mean, s)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial: {exc}") from exc

@@ -9,7 +9,7 @@ azimuthal grid.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,40 +58,20 @@ def fejer_smooth(rho: AngleDistribution, K: int) -> FejerSmoothedDensity:
 
 @dataclass(frozen=True)
 class DiscreteAngleMeasure:
-    """Atomic angle measure on the 4K+1 uniform grid matching the smoothed law.
+    """Atomic angle law on the 4K+1 uniform grid matching the smoothed law.
 
-    Fourier coefficients agree with the Fejer-smoothed density through order
-    2K, so unit mass and the vanishing sin*cos moment carry over exactly.
+    `law` is an `AngleDistribution` of kind "atoms" whose Fourier coefficients
+    agree with the Fejer-smoothed density through order 2K, so unit mass and
+    the vanishing sin*cos moment carry over exactly.
     """
 
-    K: int
-    thetas: np.ndarray
-    weights: np.ndarray
+    law: AngleDistribution
     smoothed: FejerSmoothedDensity
     fourier_hypothesis_ok: bool = True
-    sin2_moment: float = field(init=False, default=0.0)
-    sincos_moment: float = field(init=False, default=0.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sin2_moment", self.moment(lambda t: np.sin(t) ** 2))
-        object.__setattr__(self, "sincos_moment", self.moment(lambda t: np.sin(t) * np.cos(t)))
 
     @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def moment(self, fn) -> float:
-        return float(np.sum(self.weights * fn(self.thetas)))
-
-    def fourier_coefficient(self, m: int) -> complex:
-        return complex(np.sum(self.weights * np.exp(-1j * m * self.thetas)) / TWO_PI)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = rng.choice(len(self.thetas), size=size, p=self.weights / self.mass)
-        return self.thetas[idx]
-
-    def as_angle_distribution(self) -> AngleDistribution:
-        return AngleDistribution.atoms(list(zip(self.thetas.tolist(), self.weights.tolist())))
+    def K(self) -> int:
+        return self.smoothed.K
 
 
 def build_discrete_angle_measure(rho: AngleDistribution, K: int) -> DiscreteAngleMeasure:
@@ -117,13 +97,8 @@ def build_discrete_angle_measure(rho: AngleDistribution, K: int) -> DiscreteAngl
             "discrete input: spectral matching is used outside its Fourier-series hypothesis",
             stacklevel=2,
         )
-    return DiscreteAngleMeasure(
-        K=K,
-        thetas=thetas,
-        weights=weights,
-        smoothed=smoothed,
-        fourier_hypothesis_ok=hypothesis_ok,
-    )
+    law = AngleDistribution.atoms(list(zip(thetas, weights)))
+    return DiscreteAngleMeasure(law=law, smoothed=smoothed, fourier_hypothesis_ok=hypothesis_ok)
 
 
 @dataclass(frozen=True)

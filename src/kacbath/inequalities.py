@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,10 +116,9 @@ class InequalityCheck:
     margin_coarse: float
     passed: bool
     inconclusive: bool
-    meta: dict = field(default_factory=dict)
 
 
-def _two_order_verdict(margin_fn: Callable[[int], float], order: int, meta: dict) -> InequalityCheck:
+def _two_order_verdict(margin_fn: Callable[[int], float], order: int) -> InequalityCheck:
     """Two-order rule: inconclusive if the verdicts differ or the margin moved past the sensitivity tolerance."""
     m_coarse = margin_fn(order)
     m_fine = margin_fn(2 * order)
@@ -133,7 +132,6 @@ def _two_order_verdict(margin_fn: Callable[[int], float], order: int, meta: dict
         margin_coarse=m_coarse,
         passed=bool(verdict_fine and not inconclusive),
         inconclusive=inconclusive,
-        meta=meta,
     )
 
 
@@ -153,7 +151,7 @@ def entropic_nelson_check(h: TestFunction1D, t: float, order: int = 96) -> Inequ
         blend = math.exp(-2.0 * t)
         return blend * s_h + (1.0 - blend) * mass * math.log(mass) - s_evolved
 
-    return _two_order_verdict(margin_at, order, {"t": t, "label": h.label})
+    return _two_order_verdict(margin_at, order)
 
 
 @dataclass
@@ -230,7 +228,7 @@ def bl_inequality_check(
         lhs = float(np.dot(joint, wts))
         return rhs - lhs
 
-    return _two_order_verdict(margin_at, order, {"n_maps": len(datum.maps)})
+    return _two_order_verdict(margin_at, order)
 
 
 def entropy_dual_check(
@@ -263,7 +261,7 @@ def entropy_dual_check(
             warnings.warn("marginal factor floored at 1e-300 inside a log", stacklevel=3)
         return s_h - bound
 
-    return _two_order_verdict(margin_at, order, {"n_maps": len(datum.maps)})
+    return _two_order_verdict(margin_at, order)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,6 @@ class AngleDistribution:
     atom_thetas: np.ndarray | None = None
     atom_weights: np.ndarray | None = None
     density: Callable[[np.ndarray], np.ndarray] | None = None
-    table: tuple[np.ndarray, np.ndarray] | None = None
-    metadata: dict = field(default_factory=dict)
     _segments: np.ndarray | None = None
     _cdf: tuple[np.ndarray, np.ndarray] | None = None
     sin2_moment: float = field(init=False, default=0.0)
@@ -158,13 +156,13 @@ class AngleDistribution:
     def __post_init__(self):
         if self.kind == "density":
             probe = self.density(np.linspace(-math.pi, math.pi, 4097))
-            if np.any(np.asarray(probe) < -1e-12):
-                raise InvalidDistributionError("density takes negative values")
+            if not np.all(np.asarray(probe) >= -1e-12):
+                raise InvalidDistributionError("density takes negative or NaN values")
         mass = self.moment(lambda t: np.ones_like(t))
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise InvalidDistributionError(f"total mass {mass!r} differs from 1 beyond {MASS_TOL}")
         sincos = self.moment(lambda t: np.sin(t) * np.cos(t))
-        if abs(sincos) > SINCOS_TOL:
+        if not abs(sincos) <= SINCOS_TOL:
             raise InvalidDistributionError(f"sin*cos moment {sincos!r} exceeds {SINCOS_TOL}")
         self.sincos_moment = sincos
         self.sin2_moment = self.moment(lambda t: np.sin(t) ** 2)
@@ -173,22 +171,17 @@ class AngleDistribution:
 
     @classmethod
     def uniform(cls) -> "AngleDistribution":
-        return cls(kind="uniform", metadata={"type": "uniform"})
+        return cls(kind="uniform")
 
     @classmethod
     def atoms(cls, pairs: Sequence[tuple[float, float]]) -> "AngleDistribution":
         thetas = np.array([t for t, _ in pairs], dtype=float)
         weights = np.array([p for _, p in pairs], dtype=float)
-        if np.any(weights < 0):
-            raise InvalidDistributionError("atom weights must be nonnegative")
-        if np.any(np.abs(thetas) > math.pi + 1e-15):
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise InvalidDistributionError("atom weights must be finite and nonnegative")
+        if not np.all(np.abs(thetas) <= math.pi + 1e-15):
             raise InvalidDistributionError("atoms must lie in [-pi, pi]")
-        return cls(
-            kind="atoms",
-            atom_thetas=thetas,
-            atom_weights=weights,
-            metadata={"type": "atoms", "n_atoms": len(thetas)},
-        )
+        return cls(kind="atoms", atom_thetas=thetas, atom_weights=weights)
 
     @classmethod
     def half_pi_atoms(cls) -> "AngleDistribution":
@@ -198,12 +191,7 @@ class AngleDistribution:
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray], segments: int = 1024) -> "AngleDistribution":
         edges = np.linspace(-math.pi, math.pi, segments + 1)
-        return cls(
-            kind="density",
-            density=fn,
-            _segments=edges,
-            metadata={"type": "density", "cdf_knots": CDF_KNOTS},
-        )
+        return cls(kind="density", density=fn, _segments=edges)
 
     @classmethod
     def from_table(cls, thetas: Sequence[float], values: Sequence[float]) -> "AngleDistribution":
@@ -211,19 +199,13 @@ class AngleDistribution:
         va = np.asarray(values, dtype=float)
         if th.ndim != 1 or th.shape != va.shape or len(th) < 2:
             raise InvalidDistributionError("table needs matching 1-D thetas/values with >= 2 knots")
-        if np.any(np.diff(th) <= 0):
+        if not np.all(np.diff(th) > 0):
             raise InvalidDistributionError("table thetas must be strictly increasing")
-        if np.any(va < -1e-12):
+        if not np.all(va >= -1e-12):
             raise InvalidDistributionError("table density must be nonnegative")
         va = np.clip(va, 0.0, None)
         edges = np.unique(np.concatenate([[-math.pi], th, [math.pi]]))
-        return cls(
-            kind="density",
-            density=_periodic_table(th, va),
-            table=(th, va),
-            _segments=edges,
-            metadata={"type": "density_table", "knots": len(th), "cdf_knots": CDF_KNOTS},
-        )
+        return cls(kind="density", density=_periodic_table(th, va), _segments=edges)
 
     # -- moments and Fourier data -------------------------------------------
 

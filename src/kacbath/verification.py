@@ -120,9 +120,12 @@ def run_heat_flow_suite(t_grid=HEAT_FLOW_TIMES, order: int = 40, seed: int = 7) 
         rng = np.random.default_rng(seed)
         funcs = gaussian_heat_functions(datum, rng)
         results.append((label, heat_flow_monotonicity_check(datum, funcs, t_grid)))
+    # k0_dim2's Phi is flat, so the overall minimum is its rounding; the per-datum minima show the rest
+    slopes = {label: float(r.finite_differences.min()) for label, r in results}
     return {
         "n_checks": len(results),
-        "min_fd_derivative": min(float(r.finite_differences.min()) for _, r in results),
+        "min_fd_derivative": min(slopes.values()),
+        "min_fd_derivative_by_datum": slopes,
         "max_limit_rel_error": max(r.limit_relative_error for _, r in results),
         "pass": all(r.passed for _, r in results),
     }
@@ -142,18 +145,18 @@ def run_inequality_suite() -> dict:
 
 def angle_measure_report(measure: DiscreteAngleMeasure, tol: float = 1e-12) -> dict:
     """Invariants of the discrete angle measure: mass, angle moment, spectrum match."""
-    k = measure.K
+    k, law = measure.K, measure.law
     mismatches = [
-        abs(measure.fourier_coefficient(m) - measure.smoothed.coefficient(m))
+        abs(law.fourier_coefficient(m) - measure.smoothed.coefficient(m))
         for m in range(-2 * k, 2 * k + 1)
     ]
     report = {
         "K": k,
-        "n_atoms": len(measure.thetas),
-        "mass_error": abs(measure.mass - 1.0),
-        "sincos_moment": abs(measure.sincos_moment),
+        "n_atoms": len(law.atom_weights),
+        "mass_error": abs(float(np.sum(law.atom_weights)) - 1.0),
+        "sincos_moment": abs(law.sincos_moment),
         "max_fourier_mismatch": max(mismatches),
-        "min_weight": float(measure.weights.min()),
+        "min_weight": float(law.atom_weights.min()),
         "fourier_hypothesis_ok": measure.fourier_hypothesis_ok,
     }
     report["pass"] = bool(

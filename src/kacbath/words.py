@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import DiscreteAngleMeasure, SphereQuadrature
+from .discretize import SphereQuadrature
 from .inequalities import BLDatum
 from .model import (
     AngleDistribution,
@@ -259,14 +259,12 @@ def gaussian_marginal_check(
 
 
 def _atomic_parameters(measure) -> tuple[list, np.ndarray, int]:
-    """Atoms (parameter, weight) of a discrete angle or sphere measure."""
-    if isinstance(measure, DiscreteAngleMeasure):
-        return list(measure.thetas), measure.weights, 1
+    """Atoms (parameter, weight) of an atomic angle law or a sphere rule."""
     if isinstance(measure, SphereQuadrature):
         return list(measure.nodes), measure.weights, 3
     if isinstance(measure, AngleDistribution) and measure.kind == "atoms":
         return list(measure.atom_thetas), measure.atom_weights, 1
-    raise TypeError("need a discrete angle measure, a sphere rule, or an atomic angle law")
+    raise TypeError("need an atomic angle law (a discrete angle measure's .law) or a sphere rule")
 
 
 def build_bl_datum(
@@ -294,11 +292,7 @@ def build_bl_datum(
     n_terms = (len(pair_list) * len(atoms)) ** k * 2 ** dm
     if n_terms > max_terms:
         raise ValueError(f"enumeration would produce {n_terms} terms (limit {max_terms})")
-    if params.dimension == 1:
-        c_km = sum_rule_constant(k, params, measure.as_angle_distribution()
-                                 if isinstance(measure, DiscreteAngleMeasure) else measure)
-    else:
-        c_km = sum_rule_constant(k, params)
+    c_km = sum_rule_constant(k, params, measure if d == 1 else None)
     maps: list[np.ndarray] = []
     weights: list[float] = []
     for pair_choice in itertools.product(range(len(pair_list)), repeat=k):

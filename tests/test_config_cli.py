@@ -207,6 +207,19 @@ def test_cli_discretize_angle(tmp_path):
     assert len(rows) == 2 + 17
 
 
+def test_cli_discretize_angle_at_mass_tolerance_exits_2(tmp_path, capsys):
+    # rho passes the 1e-12 mass check; its 13 grid atoms at K=3 sum to 1 - 1.0004e-12
+    w = 0.25 * (1 - 1e-12)
+    atoms = [[1.0, w], [-1.0, w], [math.pi - 1.0, w], [1.0 - math.pi, w]]
+    cfg_path = write_config(tmp_path, {"rho": {"type": "atoms", "atoms": atoms}})
+    out = tmp_path / "never"
+    with pytest.warns(UserWarning):
+        code = main(["discretize-angle", "--config", str(cfg_path), "--out", str(out), "--K", "3"])
+    assert code == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "config"
+
+
 def test_cli_discretize_sphere(tmp_path):
     out = tmp_path / "ds"
     assert main(["discretize-sphere", "--out", str(out), "--L", "3", "--K", "2"]) == 0

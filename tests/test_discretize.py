@@ -40,9 +40,9 @@ def test_uniform_measure_equal_weights(uniform_rho):
     for k in (1, 2, 5):
         nu = build_discrete_angle_measure(uniform_rho, k)
         n = 4 * k + 1
-        assert len(nu.weights) == n
-        assert np.max(np.abs(nu.weights - 1.0 / n)) < 1e-15
-        assert abs(nu.sin2_moment - 0.5) < 1e-14
+        assert len(nu.law.atom_weights) == n
+        assert np.max(np.abs(nu.law.atom_weights - 1.0 / n)) < 1e-15
+        assert abs(nu.law.sin2_moment - 0.5) < 1e-14
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -57,7 +57,7 @@ def test_fourier_equality_raised_cosine_k3():
     rho = AngleDistribution.from_density(raised_cosine)
     nu = build_discrete_angle_measure(rho, 3)
     for m in range(-6, 7):
-        assert abs(nu.fourier_coefficient(m) - nu.smoothed.coefficient(m)) < 1e-14
+        assert abs(nu.law.fourier_coefficient(m) - nu.smoothed.coefficient(m)) < 1e-14
 
 
 def test_atomic_input_flagged():
@@ -65,8 +65,8 @@ def test_atomic_input_flagged():
     with pytest.warns(UserWarning):
         nu = build_discrete_angle_measure(rho, 2)
     assert not nu.fourier_hypothesis_ok
-    assert abs(nu.mass - 1.0) < 1e-12
-    assert abs(nu.sincos_moment) < 1e-12
+    assert abs(np.sum(nu.law.atom_weights) - 1.0) < 1e-12
+    assert abs(nu.law.sincos_moment) < 1e-12
 
 
 def test_weak_convergence_of_smooth_density():
@@ -74,14 +74,14 @@ def test_weak_convergence_of_smooth_density():
     norm = TWO_PI * i0(1.0)
     rho = AngleDistribution.from_density(lambda t: np.exp(np.cos(t)) / norm)
     target = rho.sin2_moment
-    errs = [abs(build_discrete_angle_measure(rho, k).sin2_moment - target) for k in (1, 4, 16)]
+    errs = [abs(build_discrete_angle_measure(rho, k).law.sin2_moment - target) for k in (1, 4, 16)]
     # smoothing damps mode 2 by 2/(2K+1): first-order convergence in 1/K
     assert errs[2] < 0.3 * errs[0]
     assert errs[0] > errs[1] > errs[2]
     for k in (1, 4, 16):
         expected_err = abs(rho.fourier_coefficient(2).real) * TWO_PI / (2 * k + 1)
         nu = build_discrete_angle_measure(rho, k)
-        assert abs(abs(nu.sin2_moment - target) - expected_err) < 1e-12
+        assert abs(abs(nu.law.sin2_moment - target) - expected_err) < 1e-12
 
 
 def test_negative_smoothed_density_rejected():
@@ -98,8 +98,23 @@ def test_negative_smoothed_density_rejected():
 
 def test_sampling_from_measure(rng, uniform_rho):
     nu = build_discrete_angle_measure(uniform_rho, 2)
-    draws = nu.sample(rng, 50000)
-    assert set(np.round(draws, 12)).issubset(set(np.round(nu.thetas, 12)))
+    draws = nu.law.sample(rng, 50000)
+    assert set(np.round(draws, 12)).issubset(set(np.round(nu.law.atom_thetas, 12)))
+
+
+@pytest.mark.parametrize("k", (1, 4))
+@pytest.mark.parametrize("density", (None, raised_cosine), ids=("uniform", "raised_cosine"))
+def test_measure_law_is_atomic_with_its_own_sums(k, density):
+    rho = AngleDistribution.uniform() if density is None else AngleDistribution.from_density(density)
+    nu = build_discrete_angle_measure(rho, k)
+    law = nu.law
+    assert law.kind == "atoms"
+    assert nu.K == k
+    th, w = law.atom_thetas, law.atom_weights
+    assert law.sin2_moment == float(np.sum(w * np.sin(th) ** 2))
+    assert law.sincos_moment == float(np.sum(w * (np.sin(th) * np.cos(th))))
+    for m in range(-2 * k, 2 * k + 1):
+        assert law.fourier_coefficient(m) == complex(np.sum(w * np.exp(-1j * m * th)) / TWO_PI)
 
 
 # ------------------------------------------------------------------- sphere

@@ -269,6 +269,13 @@ def test_heat_flow_suite_covers_every_standard_datum():
     assert report["pass"]
 
 
+def test_heat_flow_suite_reports_slope_per_datum():
+    report = run_heat_flow_suite()
+    by_datum = report["min_fd_derivative_by_datum"]
+    assert sorted(by_datum) == sorted(label for label, _, _ in standard_bl_data())
+    assert min(by_datum.values()) == report["min_fd_derivative"]
+
+
 def test_heat_flow_zero_row_map_contributes_its_scale():
     flat = BLDatum(maps=[np.eye(2)], weights=np.array([1.0]))
     padded = BLDatum(maps=[np.eye(2), np.zeros((0, 2))], weights=np.array([1.0, 0.5]))

@@ -130,6 +130,21 @@ def test_invalid_distributions_rejected():
         AngleDistribution.from_density(lambda t: np.cos(t))  # negative values
 
 
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda: AngleDistribution.atoms([(0.0, math.nan)]),
+        lambda: AngleDistribution.atoms([(math.nan, 1.0)]),
+        lambda: AngleDistribution.from_table([-3.0, 0.0, 3.0], [math.nan] * 3),
+        lambda: AngleDistribution.from_density(lambda t: np.full_like(t, math.nan)),
+    ),
+    ids=("atom_weight", "atom_angle", "table_values", "density"),
+)
+def test_nan_distributions_rejected(build):
+    with pytest.raises(InvalidDistributionError):
+        build()
+
+
 def test_fourier_coefficients():
     rho = AngleDistribution.from_density(raised_cosine)
     assert abs(rho.fourier_coefficient(0) - 1.0 / (2 * math.pi)) < 1e-14

@@ -295,9 +295,16 @@ def test_bl_datum_k1_atoms_resolves_identity():
 def test_bl_datum_with_smoothed_measure(uniform_rho):
     p = GeneratorParams(M=2, N=1, lambda_S=1.0, lambda_R=0.0, mu=1.0)
     nu = build_discrete_angle_measure(uniform_rho, 1)
-    datum = build_bl_datum(1, p, nu)
+    datum = build_bl_datum(1, p, nu.law)
     assert datum.identity_defect() < 1e-10
     assert datum.trace_sum() == pytest.approx(2.0, abs=1e-10)
+
+
+def test_bl_datum_rejects_discrete_measure_wrapper(uniform_rho):
+    # the datum takes the atomic law itself, `measure.law`
+    p = GeneratorParams(M=2, N=1, lambda_S=1.0, lambda_R=0.0, mu=1.0)
+    with pytest.raises(TypeError):
+        build_bl_datum(1, p, build_discrete_angle_measure(uniform_rho, 1))
 
 
 def test_bl_datum_3d_sphere_rule():
