@@ -41,9 +41,7 @@ from .model import (
     AngleDistribution,
     GeneratorParams,
     PairIndex,
-    collide_pair_3d,
     effective_coupling_rate,
-    rotate_pair_1d,
 )
 from .moments import (
     DecayEnvelope,

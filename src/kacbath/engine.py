@@ -8,8 +8,10 @@ exists; Monte Carlo error is the only error source.
 
 Trajectories run in lockstep, _CHUNK at a time: collision e of every
 trajectory in a window is one batched call of `model.collide`, an exact no-op
-for trajectories with fewer collisions in that window.  Energy is checked
-per trajectory at every observation time.
+for trajectories with fewer collisions in that window.  The chunk's state is
+one (d(M+N), B) array with the trajectory axis last, the layout `collide`
+takes, so each of its ufuncs runs along the B trajectories.  Energy is
+checked per trajectory at every observation time.
 
 Reproducibility: chunk c of a run with seed s draws everything from the
 counter-based Philox stream keyed by (s, c), so results are bit-identical for
@@ -214,10 +216,12 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
     """
     d, M, N = params.dimension, params.M, params.N
     lam = params.total_rate
-    v0 = init.sample_system(params, rng, size)
-    z = np.concatenate([v0, rng.normal(size=(size, d * N)) * math.sqrt(THERMAL_VARIANCE)], axis=1)
-    state = z.reshape(size, M + N, d, 1)
-    e0 = np.einsum("bi,bi->b", z, z)
+    # one state (d(M+N), size), batch axis last as `collide` takes it
+    state = np.empty((d * (M + N), size))
+    state[: d * M] = init.sample_system(params, rng, size).T
+    state[d * M:] = (rng.normal(size=(size, d * N)) * math.sqrt(THERMAL_VARIANCE)).T
+    blocks = state.reshape(M + N, d, 1, size)
+    e0 = np.einsum("ib,ib->b", state, state)
 
     windows = np.diff(np.concatenate([[0.0], t_grid]))
     if lam > 0:
@@ -237,9 +241,9 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
             i, j, param, owners, kinds = _draw_collisions(params, rho, rng, occurs)
             counts += np.bincount(3 * owners + kinds, minlength=3 * size).reshape(size, 3)
             for e in range(len(occurs)):
-                collide(state, i[e], j[e], param[e])
-        snapshots[:, w] = z[:, : d * M]
-        energy = np.einsum("bi,bi->b", z, z)
+                collide(blocks, i[e], j[e], param[e])
+        snapshots[:, w] = state[: d * M].T
+        energy = np.einsum("ib,ib->b", state, state)
         _check_energy(energy, e0, t)
         if record_energies:
             energies[:, w] = energy
@@ -251,7 +255,7 @@ def _draw_collisions(params, rho, rng, occurs: np.ndarray):
 
     The True slots get pairs, then angles or axes, in row-major order; the
     others get the no-op (cos=1, sin=0 in d=1, zero axis in d=3).  Returns
-    i, j (steps, B), the parameters (steps, B, 2 or 3), and the trajectory
+    i, j (steps, B), the parameters (steps, 2 or 3, B), and the trajectory
     and kind of each drawn collision.
     """
     steps, size = occurs.shape
@@ -267,7 +271,7 @@ def _draw_collisions(params, rho, rng, occurs: np.ndarray):
     else:
         param = np.zeros((3, steps * size))
         param[:, slots] = drawn.T
-    param = param.reshape(-1, steps, size).transpose(1, 2, 0)
+    param = param.reshape(-1, steps, size).transpose(1, 0, 2)
     return i.reshape(steps, size), j.reshape(steps, size), param, slots % size, kinds
 
 

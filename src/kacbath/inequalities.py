@@ -72,11 +72,6 @@ def gaussian_integral_1d(h, order: int = 96) -> float:
     return float(np.dot(h(x[:, 0]), w))
 
 
-def gaussian_norm_1d(h, p: float, order: int = 96) -> float:
-    x, w = gaussian_tensor_rule(order, 1)
-    return float(np.dot(np.abs(h(x[:, 0])) ** p, w) ** (1.0 / p))
-
-
 def entropy_functional_1d(h, order: int = 96) -> float:
     """Integral of h log h against the Gaussian weight (0 log 0 := 0)."""
     x, w = gaussian_tensor_rule(order, 1)

@@ -262,73 +262,55 @@ def effective_coupling_rate(params: GeneratorParams, rho: AngleDistribution | No
     return params.mu * rho.sin2_moment
 
 
-def rotate_pair_1d(z: np.ndarray, pair: PairIndex, theta: float) -> np.ndarray:
-    """Rotate the (i, j) velocity plane by theta; other coordinates untouched."""
-    out = np.array(z, dtype=float)
-    i, j = pair.i - 1, pair.j - 1
-    c, s = math.cos(theta), math.sin(theta)
-    vi, vj = out[i], out[j]
-    out[i] = vi * c + vj * s
-    out[j] = vj * c - vi * s
-    return out
-
-
-def collide_pair_3d(z: np.ndarray, pair: PairIndex, omega: np.ndarray) -> np.ndarray:
-    """Exchange the omega-component of the relative velocity of the pair.
-
-    Conserves the pair's momentum and kinetic energy and is an involution.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if abs(float(np.linalg.norm(omega)) - 1.0) > 1e-12:
-        raise ValueError("omega must be a unit vector")
-    out = np.array(z, dtype=float)
-    i, j = pair.i - 1, pair.j - 1
-    g = float(np.dot(omega, out[i] - out[j]))
-    out[i] = out[i] - g * omega
-    out[j] = out[j] + g * omega
-    return out
-
-
 def collide(z: np.ndarray, i: np.ndarray, j: np.ndarray, param: np.ndarray) -> None:
-    """Apply one collision to every batch row of z, in place.
+    """Apply one collision to every batch lane of z, in place.
 
-    z is a C-contiguous array of shape (B, n, d, r): n particle blocks of d
-    coordinates, each carrying r columns (r=1 for velocity states, r=n*d for
-    word matrices).  Row b collides the 0-based particles i[b] and j[b].  In
-    d=1, param (B, 2) holds the cos and sin of the angle and the pair rotates
-    as in `rotate_pair_1d`; in d=3, param (B, 3) holds unit axes and the pair
-    exchanges its axis components as in `collide_pair_3d`.  cos=1, sin=0 and
-    a zero axis are exact no-ops.
+    z is a C-contiguous array of shape (n, d, r, B), batch axis last: n particle
+    blocks of d coordinates, each carrying r columns (r=1 for velocity states,
+    r>1 for the columns of word matrices), in B lanes.  Lane b collides the
+    0-based particles i[b] and j[b].  In d=1, param (2, B) holds the cos c and
+    sin s of the angle and the pair rotates, (v_i, v_j) -> (c v_i + s v_j,
+    c v_j - s v_i).  In d=3, param (3, B) holds unit axes w and the pair
+    exchanges its axis components: g = (w0 x0 + w1 x1) + w2 x2 for
+    x = v_i - v_j, then v_i -= g w and v_j += g w.  cos=1, sin=0 and a zero axis
+    are exact no-ops.  The pair's entries are gathered and scattered through
+    flat element indices, so each ufunc runs one loop over the B lanes.
     """
     if not z.flags.c_contiguous:
         raise ValueError("collide needs a C-contiguous array to update in place")
-    batch, n, d = z.shape[:3]
-    flat = z.reshape(batch * n, d, -1)
-    base = np.arange(batch) * n
-    fi = base + i
-    fj = base + j
+    n, d, r, batch = z.shape
+    flat = z.reshape(-1)
+    stride = d * r * batch  # elements per particle block
+    fi = np.arange(d * r)[:, None] * batch + (i * stride + np.arange(batch))
+    fj = fi + (j - i) * stride
     zi = flat[fi]
     zj = flat[fj]
     if d == 1:
-        c = param[:, 0, None, None]
-        s = param[:, 1, None, None]
+        c, s = param
         flat[fi] = c * zi + s * zj
         flat[fj] = c * zj - s * zi
     else:
-        corr = param[:, :, None] * np.einsum("bc,bcm->bm", param, zi - zj)[:, None, :]
-        flat[fi] = zi - corr
-        flat[fj] = zj + corr
+        x = (zi - zj).reshape(3, r, batch)
+        g = param[0] * x[0]
+        g += param[1] * x[1]
+        g += param[2] * x[2]
+        corr = np.multiply(param[:, None, :], g, out=x).reshape(3 * r, batch)
+        zi -= corr
+        zj += corr
+        flat[fi] = zi
+        flat[fj] = zj
 
 
 def uniform_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform points on the unit sphere, shape (size, 3)."""
     x = rng.normal(size=(size, 3))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-12):
+    while True:  # the sum order of np.linalg.norm(x, axis=1), without its (size, 3) temporary
+        norms = np.sqrt((x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) + x[:, 2] * x[:, 2])
         bad = norms < 1e-12
+        if not bad.any():
+            x /= norms[:, None]
+            return x
         x[bad] = rng.normal(size=(int(bad.sum()), 3))
-        norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
 
 
 def sample_pair_kinds(params: GeneratorParams, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -6,6 +6,9 @@ the bath.  This module realizes words given as pair and parameter arrays
 (random words come from `model.sample_collisions`), decomposes A,
 Monte Carlo-estimates the averaged sum rule E[A A^T] = c_k I, and enumerates
 the weighted projection data that satisfy the geometric sum rule exactly.
+A batch of words is realized batch-last, as `model.collide` takes it: one
+(d*n, cols, B) array with one lane per word; callers transpose only the rows
+they use.
 """
 from __future__ import annotations
 
@@ -58,7 +61,8 @@ class SingularSpectrum:
 
 def realize_inverse_1d(i0: np.ndarray, j0: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     """Inverse matrices of words given by 0-based pair arrays of shape (B, k)."""
-    return _realize_inverse(i0, j0, np.atleast_2d(thetas), n, 1)
+    w = _realize_inverse(i0, j0, np.atleast_2d(thetas), n, 1)
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 def realize_inverse_3d(i0: np.ndarray, j0: np.ndarray, omegas: np.ndarray, n: int) -> np.ndarray:
@@ -69,25 +73,29 @@ def realize_inverse_3d(i0: np.ndarray, j0: np.ndarray, omegas: np.ndarray, n: in
     """
     if omegas.ndim == 2:
         omegas = omegas[None, :, :]
-    return _realize_inverse(i0, j0, omegas, n, 3)
+    w = _realize_inverse(i0, j0, omegas, n, 3)
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, d: int,
                      cols: int | None = None) -> np.ndarray:
     """Row operations of the collisions in word order, applied to the first `cols` columns
-    (default all) of identity matrices.  Each column is operated on alone: the bits are the
-    full matrix's, save that one d=3 column takes another einsum loop (last-bit changes).
-    param holds angles (B, k) in d=1 and unit axes (B, k, 3) in d=3."""
+    (default all) of identity matrices.  Each column is operated on alone, so the bits are
+    the full matrix's.  The words are realized batch-last, one `collide` lane per word, and
+    returned as (d*n, cols, B).  param holds angles (B, k) in d=1 and unit axes (B, k, 3) in d=3."""
     i0 = np.atleast_2d(i0)
     j0 = np.atleast_2d(j0)
     batch, k = i0.shape
     if d == 1:  # the inverse of a word rotates each of its pairs back by theta
-        param = np.stack([np.cos(param), -np.sin(param)], axis=-1)
+        param = np.stack([np.cos(param).T, -np.sin(param).T], axis=1)
+    else:
+        param = np.ascontiguousarray(param.transpose(1, 2, 0))
     cols = cols or d * n
-    w = np.broadcast_to(np.eye(d * n, cols), (batch, d * n, cols)).copy()
-    blocks = w.reshape(batch, n, d, cols)
+    w = np.zeros((d * n, cols, batch))
+    w[np.arange(cols), np.arange(cols)] = 1.0
+    blocks = w.reshape(n, d, cols, batch)
     for step in range(k):
-        collide(blocks, i0[:, step], j0[:, step], param[:, step])
+        collide(blocks, i0[:, step], j0[:, step], param[step])
     return w
 
 
@@ -173,7 +181,8 @@ def mc_sum_rule(
             aat = np.empty((b, dm, dm))
             for s in range(0, b, _SLICE_WORDS):
                 sl = slice(s, s + _SLICE_WORDS)
-                a = _realize_inverse(i0[sl], j0[sl], param[sl], n, d, dm)[:, :dm]
+                w = _realize_inverse(i0[sl], j0[sl], param[sl], n, d, dm)
+                a = np.ascontiguousarray(w[:dm].transpose(2, 0, 1))
                 np.einsum("bij,bkj->bik", a, a, out=aat[sl])
         total += aat.sum(axis=0)
         total_sq += (aat * aat).sum(axis=0)
@@ -304,7 +313,8 @@ def build_bl_datum(
             if w_word == 0.0:
                 continue
             param = np.array([[atoms[a] for a in atom_choice]], dtype=float)
-            inv = _realize_inverse(i0, j0, param.reshape((1, k) if d == 1 else (1, k, 3)), n, d)[0]
+            param = param.reshape((1, k) if d == 1 else (1, k, 3))
+            inv = _realize_inverse(i0, j0, param, n, d)[:, :, 0]
             _, spectrum = decompose(inv, dm)
             subsets, subset_w = sigma_subset_weights(spectrum.gammas)
             for sigma, sw in zip(subsets, subset_w):

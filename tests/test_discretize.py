@@ -60,6 +60,21 @@ def test_fourier_equality_raised_cosine_k3():
         assert abs(nu.law.fourier_coefficient(m) - nu.smoothed.coefficient(m)) < 1e-14
 
 
+def test_angle_report_pass_is_the_fourier_verdict_alone():
+    # AngleDistribution.atoms enforces mass, sin*cos moment and weight signs, so only the
+    # spectrum match decides `pass`; at tol = mismatch the mass error (2.2e-16) is above tol
+    rho = AngleDistribution.from_density(raised_cosine)
+    for k in (1, 4, 8):
+        nu = build_discrete_angle_measure(rho, k)
+        mismatch = angle_measure_report(nu)["max_fourier_mismatch"]
+        for tol in (mismatch / 2, mismatch, 2 * mismatch):
+            report = angle_measure_report(nu, tol=tol)
+            assert report["pass"] == (mismatch <= tol)
+        assert angle_measure_report(nu, tol=mismatch)["mass_error"] > mismatch
+        assert set(report) == {"K", "n_atoms", "mass_error", "sincos_moment", "max_fourier_mismatch",
+                               "min_weight", "fourier_hypothesis_ok", "pass"}
+
+
 def test_atomic_input_flagged():
     rho = AngleDistribution.half_pi_atoms()
     with pytest.warns(UserWarning):

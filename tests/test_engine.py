@@ -13,6 +13,7 @@ from kacbath import (
 )
 from kacbath.engine import SimulationError, trajectory_rng
 from kacbath.model import THERMAL_VARIANCE
+from tests.oracles import collide_pair_3d, rotate_pair_1d
 
 
 def test_time_zero_snapshot_is_exact_initial_sample(params28, uniform_rho):
@@ -194,7 +195,7 @@ def test_energy_drift_beyond_tolerance_raises(params28, uniform_rho, monkeypatch
 
 
 def test_shared_kernel_matches_scalar_collisions():
-    from kacbath.model import PairIndex, collide, collide_pair_3d, rotate_pair_1d, uniform_sphere
+    from kacbath.model import PairIndex, collide, uniform_sphere
 
     rng = trajectory_rng(52, 0)
     batch, n = 64, 5
@@ -202,22 +203,65 @@ def test_shared_kernel_matches_scalar_collisions():
     j = i + 1 + (rng.random(batch) * (n - 1 - i)).astype(np.int64)
     thetas = rng.uniform(-math.pi, math.pi, batch)
     z1 = rng.normal(size=(batch, n))
-    state = z1.reshape(batch, n, 1, 1).copy()
-    collide(state, i, j, np.stack([np.cos(thetas), np.sin(thetas)], axis=1))
+    state = np.ascontiguousarray(z1.T).reshape(n, 1, 1, batch)
+    collide(state, i, j, np.stack([np.cos(thetas), np.sin(thetas)]))
     for b in range(batch):
         expected = rotate_pair_1d(z1[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), thetas[b])
-        assert np.array_equal(state[b].ravel(), expected)
+        assert np.array_equal(state[..., b].ravel(), expected)
     axes = uniform_sphere(rng, batch)
     z3 = rng.normal(size=(batch, n, 3))
-    state = z3.reshape(batch, n, 3, 1).copy()
-    collide(state, i, j, axes)
+    state = np.ascontiguousarray(z3.transpose(1, 2, 0)).reshape(n, 3, 1, batch)
+    collide(state, i, j, axes.T)
     for b in range(batch):
         expected = collide_pair_3d(z3[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), axes[b])
-        assert np.max(np.abs(state[b].reshape(n, 3) - expected)) < 1e-14
+        assert np.max(np.abs(state[..., b].reshape(n, 3) - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("shape", ["engine", "word"])
+def test_shared_kernel_is_the_written_out_formula_bit_for_bit(d, shape):
+    # engine: one column, a strided (steps, 2 or 3, B) parameter view; word: d*M columns
+    from kacbath.model import collide, uniform_sphere
+
+    rng = trajectory_rng(54, d)
+    n, batch, steps, r = 5, 257, 4, 1 if shape == "engine" else 2 * d
+    i = rng.integers(0, n - 1, batch)
+    j = i + 1 + (rng.random(batch) * (n - 1 - i)).astype(np.int64)
+    if d == 1:
+        thetas = rng.uniform(-math.pi, math.pi, batch)
+        drawn = np.stack([np.cos(thetas), np.sin(thetas)])
+        drawn[:, :16] = [[1.0], [0.0]]  # no-op lanes: cos=1, sin=0
+    else:
+        drawn = uniform_sphere(rng, batch).T.copy()
+        drawn[:, :16] = 0.0  # no-op lanes: a zero axis
+    if shape == "engine":
+        table = np.zeros((len(drawn), steps * batch))
+        table[:, 2 * batch:3 * batch] = drawn
+        param = table.reshape(-1, steps, batch).transpose(1, 0, 2)[2]
+    else:
+        param = drawn
+    z = rng.normal(size=(n, d, r, batch))
+    before = z.copy()
+    collide(z, i, j, param)
+    lanes = np.arange(batch)
+    zi, zj = before[i, :, :, lanes], before[j, :, :, lanes]  # (batch, d, r)
+    p = drawn.T[:, :, None]
+    expected = before.copy()
+    if d == 1:
+        c, s = p[:, 0:1], p[:, 1:2]
+        expected[i, :, :, lanes] = c * zi + s * zj
+        expected[j, :, :, lanes] = c * zj - s * zi
+    else:
+        x = zi - zj
+        g = ((p[:, 0] * x[:, 0] + p[:, 1] * x[:, 1]) + p[:, 2] * x[:, 2])[:, None, :]
+        expected[i, :, :, lanes] = zi - p * g
+        expected[j, :, :, lanes] = zj + p * g
+    assert np.array_equal(z, expected)
+    assert np.array_equal(z[..., :16], before[..., :16])
 
 
 def test_shared_kernel_on_identity_reproduces_word_inverses():
-    from kacbath.model import PairIndex, collide, collide_pair_3d, rotate_pair_1d
+    from kacbath.model import PairIndex, collide
     from kacbath.words import realize_inverse_1d, realize_inverse_3d
 
     n = 4
@@ -227,21 +271,21 @@ def test_shared_kernel_on_identity_reproduces_word_inverses():
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.48, 0.6, 0.64], [0.0, 0.0, -1.0], [0.6, -0.8, 0.0]])
     z = trajectory_rng(53, 0).normal(size=3 * n)
     for d, params, inverse, oracle in (
-        (1, np.stack([np.cos(thetas), -np.sin(thetas)], axis=1), realize_inverse_1d(i0, j0, thetas, n)[0],
+        (1, np.stack([np.cos(thetas), -np.sin(thetas)]), realize_inverse_1d(i0, j0, thetas, n)[0],
          lambda out, pair, e: rotate_pair_1d(out, pair, thetas[e])),
-        (3, axes, realize_inverse_3d(i0[None], j0[None], axes[None], n)[0],
+        (3, axes.T, realize_inverse_3d(i0[None], j0[None], axes[None], n)[0],
          lambda out, pair, e: collide_pair_3d(out.reshape(n, 3), pair, axes[e]).ravel()),
     ):
-        w = np.eye(d * n)[None].copy()
+        w = np.eye(d * n)[:, :, None].copy()
         for e in range(len(i0)):
-            collide(w.reshape(1, n, d, d * n), i0[e:e + 1], j0[e:e + 1], params[e:e + 1])
-        assert np.array_equal(w[0], inverse)
+            collide(w.reshape(n, d, d * n, 1), i0[e:e + 1], j0[e:e + 1], params[:, e:e + 1])
+        assert np.array_equal(w[..., 0], inverse)
         # the word's matrix is the product in word order, so its last collision
         # acts first; the inverse matrix undoes that
         out = z[: d * n].copy()
         for e in reversed(range(len(i0))):
             out = oracle(out, PairIndex.of(int(i0[e]) + 1, int(j0[e]) + 1, 2), e)
-        assert np.max(np.abs(w[0] @ out - z[: d * n])) < 1e-14
+        assert np.max(np.abs(w[..., 0] @ out - z[: d * n])) < 1e-14
 
 
 def test_window_without_events_keeps_state_bit_identical(params28, uniform_rho):

@@ -16,7 +16,6 @@ from kacbath import (
 from kacbath.inequalities import (
     entropy_functional_1d,
     gaussian_integral_1d,
-    gaussian_norm_1d,
     _lebesgue_marginal_integral,
     heat_evolve,
     nelson_fixture_suite,
@@ -29,6 +28,7 @@ from kacbath.verification import (
     run_heat_flow_suite,
     standard_bl_data,
 )
+from tests.oracles import gaussian_norm_1d
 
 
 # ------------------------------------------------------------- OU semigroup

@@ -10,9 +10,7 @@ from kacbath import (
     AngleDistribution,
     GeneratorParams,
     PairIndex,
-    collide_pair_3d,
     effective_coupling_rate,
-    rotate_pair_1d,
 )
 from kacbath.engine import trajectory_rng
 from kacbath.model import (
@@ -23,6 +21,7 @@ from kacbath.model import (
     uniform_sphere,
 )
 from tests.conftest import raised_cosine
+from tests.oracles import collide_pair_3d, rotate_pair_1d
 
 
 # ---------------------------------------------------------------- parameters
@@ -326,6 +325,14 @@ def test_sample_collisions_is_pairs_then_parameters(d, uniform_rho):
 def test_sample_collisions_needs_rho_in_dimension_1(params28):
     with pytest.raises(ValueError, match="an angle distribution is required in dimension 1"):
         sample_collisions(params28, None, trajectory_rng(17, 1), 10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_sphere_matches_norm_reference_bit_for_bit(seed):
+    for size in (1, 7, 1000, 160000):
+        x = trajectory_rng(seed, size).normal(size=(size, 3))
+        expected = x / np.linalg.norm(x, axis=1)[:, None]
+        assert np.array_equal(uniform_sphere(trajectory_rng(seed, size), size), expected)
 
 
 def test_uniform_sphere_second_moment(rng):

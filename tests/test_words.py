@@ -19,13 +19,14 @@ from kacbath import (
 from kacbath.engine import trajectory_rng
 from kacbath.model import PairIndex, sample_collisions, sample_pairs_array, uniform_sphere
 from kacbath.words import _realize_inverse, gaussian_marginal_check, realize_inverse_1d, realize_inverse_3d
+from tests.oracles import rotate_pair_1d
 
 
 def _random_word(k, params, rho, rng):
     """One word of k collisions: its pairs, parameters and realized inverse matrix."""
     i0, j0, _, param = sample_collisions(params, rho, rng, k)
     pairs = [PairIndex.of(int(i) + 1, int(j) + 1, params.M) for i, j in zip(i0, j0)]
-    inv = _realize_inverse(i0[None], j0[None], param[None], params.n_particles, params.dimension)[0]
+    inv = _realize_inverse(i0[None], j0[None], param[None], params.n_particles, params.dimension)[:, :, 0]
     return pairs, param, inv
 
 
@@ -79,8 +80,6 @@ def test_single_system_rotation_keeps_unit_spectrum(params24, rng):
 
 def test_realize_matches_kernel_application(params24, uniform_rho, rng):
     # applying the inverse word matrix equals composing the collision maps backwards
-    from kacbath.model import rotate_pair_1d
-
     pairs, thetas, inv = _random_word(6, params24, uniform_rho, rng)
     z = rng.normal(size=6)
     out = z.copy()
@@ -176,9 +175,8 @@ def test_column_limited_realizer_is_first_columns_of_full(d, uniform_rho):
     else:
         param = uniform_sphere(rng, batch * k).reshape(batch, k, 3)
         full = realize_inverse_3d(i0, j0, param, n)
-    # a single d=3 column goes through another einsum loop in `collide`; mc_sum_rule carries 3M >= 3
-    for cols in range(1 if d == 1 else 2, d * n + 1):
-        assert np.array_equal(_realize_inverse(i0, j0, param, n, d, cols), full[:, :, :cols])
+    for cols in range(1, d * n + 1):
+        assert np.array_equal(_realize_inverse(i0, j0, param, n, d, cols).transpose(2, 0, 1), full[:, :, :cols])
 
 
 def _full_matrix_sum_rule(k, params, rho, n_words, rng, chunk):
