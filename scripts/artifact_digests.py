@@ -6,7 +6,8 @@ Runs each command of MATRIX at each seed in a fresh interpreter on the
 directory, and writes {"<seed>/<label>/<file>": sha256} plus each command's
 exit code as JSON.  `manifest.json` is hashed without its `wall_time_seconds`,
 the one field that differs between identical runs.  Exits 1 if any command
-exited non-zero (the digests are still written).
+exited non-zero, or if at one seed the `simulate` runs at 1 and 2 workers
+(WORKER_PAIR) differ in any file or exit code (the digests are still written).
 
 Usage:
   python3 scripts/artifact_digests.py --out digests.json [--seeds 20240809 424242] [--src SRC]
@@ -68,6 +69,7 @@ MATRIX = (
     ("sphere_L8_K8", "discretize-sphere", None, ("--L", "8", "--K", "8")),
     ("inequalities", "verify-inequalities", None, ()),
 )
+WORKER_PAIR = ("thermostat_w1", "thermostat_w2")  # the same run at 1 and 2 workers: byte-identical
 
 
 def file_digest(path: Path) -> str:
@@ -101,6 +103,22 @@ def run_matrix(src: Path, seeds, work: Path) -> dict:
     return digests
 
 
+def worker_mismatches(digests: dict) -> list[str]:
+    """Every file or exit code on which the two labels of WORKER_PAIR differ at one seed,
+    including one that only one of them has."""
+    runs = {}
+    for key, value in digests.items():
+        seed, label, name = key.split("/", 2)
+        if label in WORKER_PAIR:
+            runs.setdefault((seed, name), {})[label] = value
+    one, two = WORKER_PAIR
+    return [
+        f"{seed}/{name}: {one} {pair.get(one)} != {two} {pair.get(two)}"
+        for (seed, name), pair in sorted(runs.items())
+        if pair.get(one) != pair.get(two)
+    ]
+
+
 def compare(before: dict, after: dict) -> list[str]:
     return [
         f"{key}: {before.get(key)} -> {after.get(key)}"
@@ -129,4 +147,7 @@ if __name__ == "__main__":
     failed = sorted(key for key, value in digests.items() if key.endswith("/exit_code") and value)
     if failed:
         print("non-zero exit: " + " ".join(failed), file=sys.stderr)
-    sys.exit(1 if failed else 0)
+    mismatches = worker_mismatches(digests)
+    if mismatches:
+        print("worker count changed the output:\n" + "\n".join(mismatches), file=sys.stderr)
+    sys.exit(1 if failed or mismatches else 0)

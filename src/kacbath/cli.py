@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (env KACBATH_WORKERS overrides)")
+                       help="worker processes for simulate and entropy, >= 1 (env KACBATH_WORKERS "
+                       "overrides); other commands ignore it, and the kNN query always uses every CPU")
         return p
 
     add("simulate", "run an ensemble and emit moments.csv")
@@ -67,12 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _effective_workers(args) -> int:
     env = os.environ.get("KACBATH_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"KACBATH_WORKERS must be an integer, got {env!r}") from None
-    return max(1, args.workers)
+    name, value = ("KACBATH_WORKERS", env) if env is not None else ("--workers", args.workers)
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{name} must be >= 1, got {workers}")
+    return workers
 
 
 def _require_at_least(args, name: str, minimum: int) -> None:

@@ -7,11 +7,11 @@ that many i.i.d. pair collisions in sequence.  No time discretization error
 exists; Monte Carlo error is the only error source.
 
 Trajectories run in lockstep, _CHUNK at a time: collision e of every
-trajectory in a window is one batched call of `model.collide`, an exact no-op
-for trajectories with fewer collisions in that window.  The chunk's state is
-one (d(M+N), B) array with the trajectory axis last, the layout `collide`
-takes, so each of its ufuncs runs along the B trajectories.  Energy is
-checked per trajectory at every observation time.
+trajectory in a window is one batched call of `model.collide` on the lanes
+of the trajectories that have an e-th collision there; the others are not
+touched.  The chunk's state is one (d(M+N), B) array with the trajectory
+axis last, the layout `collide` takes.  Energy is checked per trajectory at
+every observation time.
 
 Reproducibility: chunk c of a run with seed s draws everything from the
 counter-based Philox stream keyed by (s, c), so results are bit-identical for
@@ -238,10 +238,11 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
         steps = int(due.max())
         for first in range(0, steps, block_steps):
             occurs = np.arange(first, min(first + block_steps, steps))[:, None] < due
-            i, j, param, owners, kinds = _draw_collisions(params, rho, rng, occurs)
-            counts += np.bincount(3 * owners + kinds, minlength=3 * size).reshape(size, 3)
-            for e in range(len(occurs)):
-                collide(blocks, i[e], j[e], param[e])
+            lanes, i, j, param, kinds = _draw_collisions(params, rho, rng, occurs)
+            counts += np.bincount(3 * lanes + kinds, minlength=3 * size).reshape(size, 3)
+            ends = np.cumsum(occurs.sum(axis=1)).tolist()
+            for start, end in zip([0] + ends, ends):
+                collide(blocks, lanes[start:end], i[start:end], j[start:end], param[:, start:end])
         snapshots[:, w] = state[: d * M].T
         energy = np.einsum("ib,ib->b", state, state)
         _check_energy(energy, e0, t)
@@ -251,28 +252,22 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
 
 
 def _draw_collisions(params, rho, rng, occurs: np.ndarray):
-    """Collisions for the slots (step, trajectory) of `occurs`, shape (steps, B).
+    """Collisions for the True slots (step, trajectory) of `occurs`, shape (steps, B).
 
-    The True slots get pairs, then angles or axes, in row-major order; the
-    others get the no-op (cos=1, sin=0 in d=1, zero axis in d=3).  Returns
-    i, j (steps, B), the parameters (steps, 2 or 3, B), and the trajectory
-    and kind of each drawn collision.
+    They are drawn compact, in row-major order: pairs, then angles or axes.
+    Returns the trajectory (lane), i and j, shape (m,), of each, the parameters
+    (2 or 3, m) as `collide` takes them, and the kinds; step e's collisions are
+    the e-th run of occurs.sum(axis=1) consecutive entries.
     """
-    steps, size = occurs.shape
     slots = np.flatnonzero(occurs)
-    i = np.zeros(steps * size, dtype=np.int64)
-    j = np.ones(steps * size, dtype=np.int64)
-    i[slots], j[slots], kinds, drawn = sample_collisions(params, rho, rng, len(slots))
-    if params.dimension == 1:
-        param = np.zeros((2, steps * size))
-        param[0] = 1.0
-        param[0, slots] = np.cos(drawn)
-        param[1, slots] = np.sin(drawn)
-    else:
-        param = np.zeros((3, steps * size))
-        param[:, slots] = drawn.T
-    param = param.reshape(-1, steps, size).transpose(1, 0, 2)
-    return i.reshape(steps, size), j.reshape(steps, size), param, slots % size, kinds
+    lanes = slots % occurs.shape[1]
+    i, j, kinds, drawn = sample_collisions(params, rho, rng, len(slots))
+    if params.dimension == 3:
+        return lanes, i, j, drawn.T, kinds
+    param = np.empty((2, len(slots)))  # cos and sin written in place: no stacking copy
+    np.cos(drawn, out=param[0])
+    np.sin(drawn, out=param[1])
+    return lanes, i, j, param, kinds
 
 
 def _check_energy(energy: np.ndarray, e0: np.ndarray, t: float) -> None:

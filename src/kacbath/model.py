@@ -262,26 +262,27 @@ def effective_coupling_rate(params: GeneratorParams, rho: AngleDistribution | No
     return params.mu * rho.sin2_moment
 
 
-def collide(z: np.ndarray, i: np.ndarray, j: np.ndarray, param: np.ndarray) -> None:
-    """Apply one collision to every batch lane of z, in place.
+def collide(z: np.ndarray, lanes: np.ndarray, i: np.ndarray, j: np.ndarray, param: np.ndarray) -> None:
+    """Apply one collision to each of the given batch lanes of z, in place.
 
     z is a C-contiguous array of shape (n, d, r, B), batch axis last: n particle
     blocks of d coordinates, each carrying r columns (r=1 for velocity states,
-    r>1 for the columns of word matrices), in B lanes.  Lane b collides the
-    0-based particles i[b] and j[b].  In d=1, param (2, B) holds the cos c and
-    sin s of the angle and the pair rotates, (v_i, v_j) -> (c v_i + s v_j,
-    c v_j - s v_i).  In d=3, param (3, B) holds unit axes w and the pair
-    exchanges its axis components: g = (w0 x0 + w1 x1) + w2 x2 for
-    x = v_i - v_j, then v_i -= g w and v_j += g w.  cos=1, sin=0 and a zero axis
-    are exact no-ops.  The pair's entries are gathered and scattered through
-    flat element indices, so each ufunc runs one loop over the B lanes.
+    r>1 for the columns of word matrices), in B lanes.  lanes, i and j have shape
+    (m,): lane lanes[e], distinct within a call, collides the 0-based particles
+    i[e] and j[e]; every other lane is left untouched.  In d=1, param (2, m) holds
+    the cos c and sin s of the angle and the pair rotates, (v_i, v_j) ->
+    (c v_i + s v_j, c v_j - s v_i).  In d=3, param (3, m) holds unit axes w and the
+    pair exchanges its axis components: g = (w0 x0 + w1 x1) + w2 x2 for
+    x = v_i - v_j, then v_i -= g w and v_j += g w.  The pair's entries are
+    gathered and scattered through flat element indices, i * stride + lanes, so
+    each ufunc runs one loop over the m lanes.
     """
     if not z.flags.c_contiguous:
         raise ValueError("collide needs a C-contiguous array to update in place")
     n, d, r, batch = z.shape
     flat = z.reshape(-1)
     stride = d * r * batch  # elements per particle block
-    fi = np.arange(d * r)[:, None] * batch + (i * stride + np.arange(batch))
+    fi = np.arange(d * r)[:, None] * batch + (i * stride + lanes)
     fj = fi + (j - i) * stride
     zi = flat[fi]
     zj = flat[fj]
@@ -290,11 +291,11 @@ def collide(z: np.ndarray, i: np.ndarray, j: np.ndarray, param: np.ndarray) -> N
         flat[fi] = c * zi + s * zj
         flat[fj] = c * zj - s * zi
     else:
-        x = (zi - zj).reshape(3, r, batch)
+        x = (zi - zj).reshape(3, r, -1)
         g = param[0] * x[0]
         g += param[1] * x[1]
         g += param[2] * x[2]
-        corr = np.multiply(param[:, None, :], g, out=x).reshape(3 * r, batch)
+        corr = np.multiply(param[:, None, :], g, out=x).reshape(3 * r, -1)
         zi -= corr
         zj += corr
         flat[fi] = zi

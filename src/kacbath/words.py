@@ -94,8 +94,9 @@ def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, 
     w = np.zeros((d * n, cols, batch))
     w[np.arange(cols), np.arange(cols)] = 1.0
     blocks = w.reshape(n, d, cols, batch)
+    lanes = np.arange(batch)
     for step in range(k):
-        collide(blocks, i0[:, step], j0[:, step], param[step])
+        collide(blocks, lanes, i0[:, step], j0[:, step], param[step])
     return w
 
 

@@ -261,6 +261,18 @@ def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
     assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "entropy"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_nonpositive_workers_env_var_exits_2(tmp_path, monkeypatch, capsys, command, value):
+    cfg_path = write_config(tmp_path, {"ensemble": SMALL_ENSEMBLE})
+    out = tmp_path / "never"
+    monkeypatch.setenv("KACBATH_WORKERS", value)
+    assert main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 2
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]
+
+
 # ------------------------------------------------------------ cold import
 
 # Runs in a fresh interpreter, because this one has already loaded scipy.
@@ -335,14 +347,17 @@ HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dim
     ("simulate", {"initial": {"kind": "two_temperature", "s_hot": 1e300, "s_cold": 0.1}}, []),
     ("simulate", {"initial": {"kind": "shifted_gaussian", "mean": [0.0, -1e300]}}, []),
     ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "record": ["collision_counts"]}}, []),
+    ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "0"]),
+    ("entropy", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "-2"]),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
         "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates", "lambda-1e300-simulate",
         "lambda-1e300-entropy", "lambda-1e300-envelope", "envelope-t-1e6", "n_traj-1e300",
         "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300",
-        "record-collision_counts"])
-def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, command, overrides, extra):
+        "record-collision_counts", "workers-0-simulate", "workers-negative-entropy"])
+def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
+    monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]
     if overrides is not None:
         argv += ["--config", str(write_config(tmp_path, overrides))]

@@ -204,14 +204,14 @@ def test_shared_kernel_matches_scalar_collisions():
     thetas = rng.uniform(-math.pi, math.pi, batch)
     z1 = rng.normal(size=(batch, n))
     state = np.ascontiguousarray(z1.T).reshape(n, 1, 1, batch)
-    collide(state, i, j, np.stack([np.cos(thetas), np.sin(thetas)]))
+    collide(state, np.arange(batch), i, j, np.stack([np.cos(thetas), np.sin(thetas)]))
     for b in range(batch):
         expected = rotate_pair_1d(z1[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), thetas[b])
         assert np.array_equal(state[..., b].ravel(), expected)
     axes = uniform_sphere(rng, batch)
     z3 = rng.normal(size=(batch, n, 3))
     state = np.ascontiguousarray(z3.transpose(1, 2, 0)).reshape(n, 3, 1, batch)
-    collide(state, i, j, axes.T)
+    collide(state, np.arange(batch), i, j, axes.T)
     for b in range(batch):
         expected = collide_pair_3d(z3[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), axes[b])
         assert np.max(np.abs(state[..., b].reshape(n, 3) - expected)) < 1e-14
@@ -220,7 +220,8 @@ def test_shared_kernel_matches_scalar_collisions():
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("shape", ["engine", "word"])
 def test_shared_kernel_is_the_written_out_formula_bit_for_bit(d, shape):
-    # engine: one column, a strided (steps, 2 or 3, B) parameter view; word: d*M columns
+    # engine: one column, a strided column slice of a compact (2 or 3, steps*m) parameter
+    # view; word: d*M columns.  The first 16 lanes do not collide.
     from kacbath.model import collide, uniform_sphere
 
     rng = trajectory_rng(54, d)
@@ -230,20 +231,19 @@ def test_shared_kernel_is_the_written_out_formula_bit_for_bit(d, shape):
     if d == 1:
         thetas = rng.uniform(-math.pi, math.pi, batch)
         drawn = np.stack([np.cos(thetas), np.sin(thetas)])
-        drawn[:, :16] = [[1.0], [0.0]]  # no-op lanes: cos=1, sin=0
     else:
         drawn = uniform_sphere(rng, batch).T.copy()
-        drawn[:, :16] = 0.0  # no-op lanes: a zero axis
+    lanes, i, j, drawn = np.arange(16, batch), i[16:], j[16:], drawn[:, 16:]
+    m = len(lanes)
     if shape == "engine":
-        table = np.zeros((len(drawn), steps * batch))
-        table[:, 2 * batch:3 * batch] = drawn
-        param = table.reshape(-1, steps, batch).transpose(1, 0, 2)[2]
+        table = np.zeros((steps * m, len(drawn)))
+        table[2 * m:3 * m] = drawn.T
+        param = table.T[:, 2 * m:3 * m]
     else:
         param = drawn
     z = rng.normal(size=(n, d, r, batch))
     before = z.copy()
-    collide(z, i, j, param)
-    lanes = np.arange(batch)
+    collide(z, lanes, i, j, param)
     zi, zj = before[i, :, :, lanes], before[j, :, :, lanes]  # (batch, d, r)
     p = drawn.T[:, :, None]
     expected = before.copy()
@@ -258,6 +258,51 @@ def test_shared_kernel_is_the_written_out_formula_bit_for_bit(d, shape):
         expected[j, :, :, lanes] = zj + p * g
     assert np.array_equal(z, expected)
     assert np.array_equal(z[..., :16], before[..., :16])
+
+
+@pytest.mark.parametrize("d, r", [(1, 1), (1, 2), (3, 1), (3, 6)])
+def test_shared_kernel_on_lane_subset_is_the_all_lanes_call_there(d, r):
+    from kacbath.model import collide, uniform_sphere
+
+    rng = trajectory_rng(56, 2 * d + r)
+    n, batch = 5, 203
+    i = rng.integers(0, n - 1, batch)
+    j = i + 1 + (rng.random(batch) * (n - 1 - i)).astype(np.int64)
+    if d == 1:
+        thetas = rng.uniform(-math.pi, math.pi, batch)
+        param = np.stack([np.cos(thetas), np.sin(thetas)])
+    else:
+        param = uniform_sphere(rng, batch).T.copy()
+    z = rng.normal(size=(n, d, r, batch))
+    order = rng.permutation(batch)
+    lanes, others = order[:120], order[120:]
+    z[:2, :, :, others[:5]] = -0.0  # exact zeros of either sign keep their bits off the given lanes
+    full = z.copy()
+    collide(full, np.arange(batch), i, j, param)
+    part = z.copy()
+    collide(part, lanes, i[lanes], j[lanes], param[:, lanes])
+    bits = lambda a: a.view(np.uint64)
+    assert np.array_equal(bits(part[..., lanes]), bits(full[..., lanes]))
+    assert np.array_equal(bits(part[..., others]), bits(z[..., others]))
+
+
+def test_lockstep_updates_exactly_one_lane_per_event(uniform_rho, monkeypatch):
+    from kacbath import engine
+
+    kernel, updated = engine.collide, []
+
+    def counting(z, *args):
+        updated.append(len(args[0]))  # the lanes of one call
+        kernel(z, *args)
+
+    monkeypatch.setattr(engine, "collide", counting)
+    for p, rho in ((GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0), uniform_rho),
+                   (GeneratorParams(M=1, N=5, lambda_S=0.0, lambda_R=1.0, mu=1.0, dimension=3), None)):
+        updated.clear()
+        cfg = EnsembleConfig(n_traj=300, t_grid=(0.0, 0.5, 2.0), seed=57)
+        res = simulate_ensemble(p, rho, InitialCondition.gaussian_product(0.3), cfg)
+        assert res.counts.sum() > 0
+        assert sum(updated) == res.counts.sum()
 
 
 def test_shared_kernel_on_identity_reproduces_word_inverses():
@@ -278,7 +323,8 @@ def test_shared_kernel_on_identity_reproduces_word_inverses():
     ):
         w = np.eye(d * n)[:, :, None].copy()
         for e in range(len(i0)):
-            collide(w.reshape(n, d, d * n, 1), i0[e:e + 1], j0[e:e + 1], params[:, e:e + 1])
+            collide(w.reshape(n, d, d * n, 1), np.zeros(1, dtype=np.int64), i0[e:e + 1], j0[e:e + 1],
+                    params[:, e:e + 1])
         assert np.array_equal(w[..., 0], inverse)
         # the word's matrix is the product in word order, so its last collision
         # acts first; the inverse matrix undoes that
