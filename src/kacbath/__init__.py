@@ -57,7 +57,6 @@ from .words import (
     SingularSpectrum,
     build_bl_datum,
     decompose,
-    gaussian_marginal_check,
     mc_sum_rule,
     sigma_subset_weights,
 )

@@ -46,9 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=name not in CONFIG_FREE, help="JSON experiment config")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for simulate and entropy, >= 1 (env KACBATH_WORKERS "
-                       "overrides); other commands ignore it, and the kNN query always uses every CPU")
+        p.add_argument("--workers", default="1",
+                       help="worker processes, an integer >= 1 checked by every command (env "
+                       "KACBATH_WORKERS overrides); only simulate and entropy use more than one, "
+                       "and the kNN query always uses every CPU")
         return p
 
     add("simulate", "run an ensemble and emit moments.csv")
@@ -67,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_workers(args) -> int:
+    """The worker count: KACBATH_WORKERS if set, else --workers; an integer >= 1 or exit 2."""
     env = os.environ.get("KACBATH_WORKERS")
     name, value = ("KACBATH_WORKERS", env) if env is not None else ("--workers", args.workers)
     try:
@@ -90,7 +92,7 @@ def _run_ensemble(cfg: ExperimentConfig, seed: int, workers: int):
 
 
 def cmd_simulate(args, cfg, seed):
-    result = _run_ensemble(cfg, seed, _effective_workers(args))
+    result = _run_ensemble(cfg, seed, args.workers)
     files = {"moments.csv": (["t", "mean_v2_system", "se", "n_traj"], result.moment_rows())}
     if "system_velocities" in cfg.ensemble.record:
         p = cfg.params
@@ -103,7 +105,7 @@ def cmd_entropy(args, cfg, seed):
     n_boot = cfg.entropy_options.get("bootstrap", DEFAULT_BOOTSTRAP)
     if cfg.ensemble is not None and k >= cfg.ensemble.n_traj:
         raise ConfigError(f"entropy.k = {k} needs n_traj > k, got n_traj = {cfg.ensemble.n_traj}")
-    result = _run_ensemble(cfg, seed, _effective_workers(args))
+    result = _run_ensemble(cfg, seed, args.workers)
     s0 = gaussian_initial_entropy(cfg.initial, cfg.params)
     estimates = [
         relative_entropy_to_thermal(result.cloud(ti), k=k, n_bootstrap=n_boot, rng=estimator_rng(seed, ti))
@@ -201,7 +203,8 @@ COMMANDS = {
 
 
 def _run(args) -> int:
-    """Config, seed and command; then the output directory, files, echo and manifest."""
+    """Workers, config, seed and command; then the output directory, files, echo and manifest."""
+    args.workers = _effective_workers(args)
     cfg = None if args.command in CONFIG_FREE else load_config(args.config)
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
     cfg_hash = cfg.config_hash if cfg is not None else "none"

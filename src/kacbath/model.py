@@ -305,8 +305,12 @@ def collide(z: np.ndarray, lanes: np.ndarray, i: np.ndarray, j: np.ndarray, para
 def uniform_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
     """Uniform points on the unit sphere, shape (size, 3)."""
     x = rng.normal(size=(size, 3))
-    while True:  # the sum order of np.linalg.norm(x, axis=1), without its (size, 3) temporary
-        norms = np.sqrt((x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) + x[:, 2] * x[:, 2])
+    sq = np.empty(size)  # the one temporary of the norm (x0^2 + x1^2) + x2^2, np.linalg.norm's order
+    while True:
+        norms = np.multiply(x[:, 0], x[:, 0])
+        norms += np.multiply(x[:, 1], x[:, 1], out=sq)
+        norms += np.multiply(x[:, 2], x[:, 2], out=sq)
+        np.sqrt(norms, out=norms)
         bad = norms < 1e-12
         if not bad.any():
             x /= norms[:, None]
@@ -318,8 +322,24 @@ def sample_pair_kinds(params: GeneratorParams, rng: np.random.Generator, size: i
     """Draw event kinds 0 (system), 1 (bath), 2 (cross) with the jump-chain law."""
     cum = np.cumsum(params.kind_probabilities)
     u = rng.random(size)
-    # the number of cum[0], cum[1] at or below u: a u past a rounded cum[2] < 1 stays kind 2
-    return (u >= cum[0]).astype(np.int64) + (u >= cum[1])
+    above = u >= cum[1]
+    # the number of cum[0], cum[1] at or below u, written over u's own buffer:
+    # a u past a rounded cum[2] < 1 stays kind 2
+    kinds = np.greater_equal(u, cum[0], out=u.view(np.int64))
+    return np.add(kinds, above, out=kinds)
+
+
+def _member_index(rng: np.random.Generator, size: int, population: np.ndarray) -> np.ndarray:
+    """Uniform 0-based indices below `population` (floats, overwritten): each
+    uniform u, drawn here, becomes min(u * population, population - 1) truncated,
+    in u's own buffer."""
+    x = rng.random(size)
+    x *= population
+    population -= 1.0
+    np.minimum(x, population, out=x)
+    index = x.view(np.int64)
+    index[...] = x  # truncation toward zero, element by element in place
+    return index
 
 
 def sample_pairs_array(
@@ -328,18 +348,15 @@ def sample_pairs_array(
     """Vectorized jump-chain pair draw; returns 0-based (i, j) arrays and kinds."""
     M, N = params.M, params.N
     kinds = sample_pair_kinds(params, rng, size)
-    u1 = rng.random(size)
-    u2 = rng.random(size)
     # Uniform unordered pair within its kind (system, bath, cross): first member
     # uniform, second uniform over its population, shifted past the first in one.
-    size_a = np.array([M, N, M], dtype=float)[kinds]
-    size_b = np.array([max(M - 1, 1), max(N - 1, 1), N], dtype=float)[kinds]
-    a = np.minimum(u1 * size_a, size_a - 1).astype(np.int64)
-    b = np.minimum(u2 * size_b, size_b - 1).astype(np.int64)
-    b += np.array([1, 1, 0])[kinds] & (b >= a)
+    a = _member_index(rng, size, np.array([M, N, M], dtype=float)[kinds])
+    b = _member_index(rng, size, np.array([max(M - 1, 1), max(N - 1, 1), N], dtype=float)[kinds])
+    b += (b >= a) & np.array([True, True, False])[kinds]
     a += np.array([0, M, 0])[kinds]
     b += np.array([0, M, M])[kinds]
-    return np.minimum(a, b), np.maximum(a, b), kinds
+    hi = np.maximum(a, b)
+    return np.minimum(a, b, out=a), hi, kinds
 
 
 def sample_collisions(

@@ -107,6 +107,22 @@ def envelope(t: float, params: GeneratorParams, rho: AngleDistribution | None = 
     return DecayEnvelope.from_params(params, rho)(t)
 
 
+def _log_poisson_mode(lam_t: float, m: int) -> float:
+    """log P(K = m) for K ~ Poisson(lam_t) at its mode m = floor(lam_t).
+
+    From m = 100 on, log Gamma(m + 1) is written as Stirling's series, so that the
+    two terms of size m log m cancel exactly: with delta = (lam_t - m)/m,
+    log P = m (log1p(delta) - delta) - log(2 pi m)/2 - 1/(12m) + 1/(360m^3) - 1/(1260m^5),
+    whose omitted remainder is below 1/(1680 m^7) < 1e-17.  Below 100 every term
+    is under 500 and the direct form loses under 1e-13.
+    """
+    if m < 100:
+        return -lam_t + m * math.log(lam_t) - math.lgamma(m + 1)
+    delta = (lam_t - m) / m
+    series = 1.0 / (12.0 * m) - 1.0 / (360.0 * m ** 3) + 1.0 / (1260.0 * m ** 5)
+    return m * (math.log1p(delta) - delta) - 0.5 * math.log(2.0 * math.pi * m) - series
+
+
 def envelope_poisson_sum(
     t: float,
     params: GeneratorParams,
@@ -115,8 +131,11 @@ def envelope_poisson_sum(
 ) -> float:
     """Envelope as the Poisson-weighted sum of per-jump contraction factors.
 
-    Truncated once the remaining Poisson tail mass drops below `tail`; since
-    each factor lies in [-1, 1] the truncation error is below that mass.
+    The Poisson weights start at the mode m = floor(lam_t) and follow the ratios
+    p_(k+1) = p_k lam_t/(k+1) upward and p_(k-1) = p_k k/lam_t downward.  Away from
+    the mode the ratios only shrink, so the mass beyond a term p with ratio r < 1
+    is below p r/(1 - r); each side stops once that bound is below tail/2.  Since
+    each factor lies in [-1, 1], the truncation error is below `tail`.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
@@ -125,22 +144,22 @@ def envelope_poisson_sum(
         return 1.0  # no jumps: only the k = 0 term, whose factor is 1
     M, N = params.M, params.N
     ell2 = MomentUpdateMatrix.from_params(params, rho).eigenvalues[1]
-    log_lam_t = math.log(lam_t)
-    total = 0.0
-    cumulative = 0.0
-    # The left tail bound P(k) <= exp(-(lam_t - k)^2 / (2 lam_t)) puts every earlier
-    # term below e^-800, which math.exp rounds to 0.0: skipping them changes no bit.
-    k = max(0, math.floor(lam_t - 40.0 * math.sqrt(lam_t)))
-    while cumulative < 1.0 - tail:
-        p = math.exp(-lam_t + k * log_lam_t - math.lgamma(k + 1))
-        c_k = M / (N + M) + (N / (N + M)) * ell2 ** k
-        total += p * c_k
-        cumulative += p
-        k += 1
-        if k > lam_t + 60.0 * math.sqrt(lam_t + 1.0) + 1000:
-            # Bernstein's bound puts the Poisson mass beyond this k below e^-1590, so
-            # `cumulative` can fall short of 1 - tail here only by rounding (lam_t >~ 1e5).
-            break
+
+    def factor(k: int) -> float:
+        return M / (N + M) + (N / (N + M)) * ell2 ** k
+
+    m = math.floor(lam_t)
+    p_mode = math.exp(_log_poisson_mode(lam_t, m))
+    total = p_mode * factor(m)
+    for step in (1, -1):  # upward, then downward from the mode
+        p, k = p_mode, m
+        while k + step >= 0:
+            ratio = lam_t / (k + 1) if step > 0 else k / lam_t
+            if p * ratio <= 0.5 * tail * (1.0 - ratio):  # never at ratio 1, the mode's own
+                break
+            p *= ratio
+            k += step
+            total += p * factor(k)
     return total
 
 

@@ -38,10 +38,10 @@ from kacbath.verification import (
 )
 from kacbath.words import (
     decompose,
-    gaussian_marginal_check,
     realize_inverse_1d,
 )
 from tests.conftest import raised_cosine
+from tests.oracles import gaussian_marginal_check
 
 SEED = 20240809
 

@@ -273,6 +273,29 @@ def test_cli_nonpositive_workers_env_var_exits_2(tmp_path, monkeypatch, capsys, 
     assert diag["error"] == "config" and "KACBATH_WORKERS" in diag["detail"]
 
 
+ALL_COMMANDS = [["simulate"], ["entropy"], ["envelope"], ["verify-sum-rule", "--k", "2", "--n", "50"],
+                ["discretize-angle", "--K", "2"], ["discretize-sphere", "--L", "3", "--K", "2"],
+                ["verify-inequalities"]]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS, ids=[c[0] for c in ALL_COMMANDS])
+@pytest.mark.parametrize("flag, env", [("0", None), ("-5", None), ("1", "0"), ("abc", None), ("1", "2.5")],
+                         ids=["flag-0", "flag-negative", "env-0", "flag-not-integer", "env-not-integer"])
+def test_cli_bad_workers_exit_2_for_every_command(tmp_path, monkeypatch, capsys, command, flag, env):
+    if env is None:
+        monkeypatch.delenv("KACBATH_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("KACBATH_WORKERS", env)
+    argv = [command[0], "--out", str(tmp_path / "never"), "--workers", flag, *command[1:]]
+    if command[0] not in ("discretize-sphere", "verify-inequalities"):
+        argv += ["--config", str(write_config(tmp_path, {"ensemble": SMALL_ENSEMBLE}))]
+    assert main(argv) == 2
+    assert not (tmp_path / "never").exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config"
+    assert ("KACBATH_WORKERS" if env is not None else "--workers") in diag["detail"]
+
+
 # ------------------------------------------------------------ cold import
 
 # Runs in a fresh interpreter, because this one has already loaded scipy.

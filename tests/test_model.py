@@ -21,7 +21,13 @@ from kacbath.model import (
     uniform_sphere,
 )
 from tests.conftest import raised_cosine
-from tests.oracles import collide_pair_3d, rotate_pair_1d
+from tests.oracles import (
+    collide_pair_3d,
+    rotate_pair_1d,
+    sample_pair_kinds_reference,
+    sample_pairs_array_reference,
+    uniform_sphere_reference,
+)
 
 
 # ---------------------------------------------------------------- parameters
@@ -333,6 +339,36 @@ def test_uniform_sphere_matches_norm_reference_bit_for_bit(seed):
         x = trajectory_rng(seed, size).normal(size=(size, 3))
         expected = x / np.linalg.norm(x, axis=1)[:, None]
         assert np.array_equal(uniform_sphere(trajectory_rng(seed, size), size), expected)
+
+
+DRAW_PARAMS = {
+    "thermostat-1-200": GeneratorParams(M=1, N=200, lambda_S=0.0, lambda_R=1.0, mu=1.0),
+    "2-8": GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0),
+    "2-4": GeneratorParams(M=2, N=4, lambda_S=1.0, lambda_R=1.0, mu=1.0),
+    "d3-1-2": GeneratorParams(M=1, N=2, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=3),
+    "M1": GeneratorParams(M=1, N=5, lambda_S=1.0, lambda_R=1.0, mu=1.0),
+    "N1": GeneratorParams(M=5, N=1, lambda_S=1.0, lambda_R=1.0, mu=1.0),
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 2 ** 14 + 3])
+@pytest.mark.parametrize("name", list(DRAW_PARAMS))
+def test_in_place_draws_match_frozen_references_bit_for_bit(name, size):
+    # same bits, same dtypes, and the same stream position afterwards
+    params = DRAW_PARAMS[name]
+    draws = [
+        (sample_pair_kinds, sample_pair_kinds_reference),
+        (sample_pairs_array, sample_pairs_array_reference),
+        (lambda p, rng, n: uniform_sphere(rng, n), lambda p, rng, n: uniform_sphere_reference(rng, n)),
+    ]
+    for seed, (new, frozen) in enumerate(draws):
+        rng_new, rng_frozen = trajectory_rng(seed, size), trajectory_rng(seed, size)
+        got, want = new(params, rng_new, size), frozen(params, rng_frozen, size)
+        if not isinstance(got, tuple):
+            got, want = (got,), (want,)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+        assert np.array_equal(rng_new.random(3), rng_frozen.random(3))
 
 
 def test_uniform_sphere_second_moment(rng):

@@ -78,30 +78,14 @@ def test_envelope_poisson_sum_matches_closed_form(params28, uniform_rho):
         assert abs(closed - series) < 1e-10
 
 
-def _poisson_sum_from_zero(t, params, rho):
-    """Reference: the series walked from k = 0, with the same terms and stopping rule."""
-    lam_t = params.total_rate * t
-    ell2 = MomentUpdateMatrix.from_params(params, rho).eigenvalues[1]
-    M, N = params.M, params.N
-    total = cumulative = 0.0
-    k = 0
-    while cumulative < 1.0 - POISSON_TAIL:
-        p = math.exp(-lam_t + k * math.log(lam_t) - math.lgamma(k + 1))
-        total += p * (M / (N + M) + (N / (N + M)) * ell2 ** k)
-        cumulative += p
-        k += 1
-        if k > lam_t + 60.0 * math.sqrt(lam_t + 1.0) + 1000:
-            break
-    return total
-
-
-@pytest.mark.parametrize("lam_t", [0.5, 7.0, 1e3, 1e5])
-def test_envelope_poisson_sum_skips_only_zero_terms(lam_t, params28, uniform_rho):
-    # the walk starts 40 standard deviations below lam_t, where every term underflows to 0.0
+@pytest.mark.parametrize("lam_t", [0.5, 7.0, 1e3, 1e5, 1e6])
+def test_envelope_poisson_sum_is_accurate_up_to_the_event_cap(lam_t, params28, uniform_rho):
+    # the series truncates below POISSON_TAIL, and the weights from the mode add no
+    # rounding of size lam_t log lam_t: at lam_t = 1e6 (the config cap) too
     thermostat = GeneratorParams(M=1, N=200, lambda_S=0.0, lambda_R=1.0, mu=1.0)
     for p in (params28, thermostat):
         t = lam_t / p.total_rate
-        assert envelope_poisson_sum(t, p, uniform_rho) == _poisson_sum_from_zero(t, p, uniform_rho)
+        assert abs(envelope_poisson_sum(t, p, uniform_rho) - envelope(t, p, uniform_rho)) <= POISSON_TAIL
 
 
 def test_envelope_poisson_sum_rejects_bad_times(params28, uniform_rho):

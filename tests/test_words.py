@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from kacbath import (
 )
 from kacbath.engine import trajectory_rng
 from kacbath.model import PairIndex, sample_collisions, sample_pairs_array, uniform_sphere
-from kacbath.words import _realize_inverse, gaussian_marginal_check, realize_inverse_1d, realize_inverse_3d
-from tests.oracles import rotate_pair_1d
+from kacbath.words import _realize_inverse, realize_inverse_1d, realize_inverse_3d
+from tests.oracles import gaussian_marginal_check, rotate_pair_1d
 
 
 def _random_word(k, params, rho, rng):
@@ -217,6 +218,23 @@ def test_mc_sum_rule_matches_full_matrix_reference_bit_for_bit(d, k, uniform_rho
     assert np.array_equal(est.z_hat, z_hat)
     assert np.array_equal(est.std_error, se)
     assert est.predicted == sum_rule_constant(k, p, uniform_rho)
+
+
+@pytest.mark.parametrize("d, M, N, bound", [(1, 2, 4, 56), (3, 1, 2, 80)])
+def test_mc_sum_rule_transient_bytes_per_drawn_collision(d, M, N, bound, uniform_rho):
+    # Two chunks of 10000 words of k=8: the traced peak above the starting level, per
+    # collision drawn in one chunk.  A chunk's draws must not outlive it into the next
+    # chunk's draw.
+    p = GeneratorParams(M=M, N=N, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=d)
+    k, chunk = 8, 10000
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mc_sum_rule(k, p, uniform_rho, 2 * chunk, trajectory_rng(18, d), chunk=chunk)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / (chunk * k) <= bound
 
 
 def test_batch_realization_matches_single(params24, uniform_rho):
