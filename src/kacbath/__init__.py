@@ -21,10 +21,8 @@ from .engine import (
 )
 from .entropy import (
     EntropyEstimate,
-    SampleCloud,
     decay_check,
     gaussian_initial_entropy,
-    knn_differential_entropy,
     relative_entropy_to_thermal,
 )
 from .inequalities import (

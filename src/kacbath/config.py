@@ -35,12 +35,20 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _integer(value, minimum: int, where: str, maximum: float = math.inf) -> int:
+def _integer(value, minimum: float, where: str, maximum: float = math.inf) -> int:
     """A JSON integer in [minimum, maximum]; an integral float such as 4.0 counts."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or not minimum <= value <= maximum:
         raise ConfigError(f"{where} must be an integer in [{minimum}, {maximum}], got {value!r}")
     return int(value)
+
+
+def _times(value, where: str) -> list[float]:
+    """A non-empty JSON list of numbers, as floats."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in value)):
+        raise ConfigError(f"{where} must be a non-empty list of numbers, got {value!r}")
+    return [float(t) for t in value]
 
 
 def build_params(section: dict) -> GeneratorParams:
@@ -51,12 +59,13 @@ def build_params(section: dict) -> GeneratorParams:
         where="params",
     )
     try:
-        M, N = int(section["M"]), int(section["N"])
+        M, N = _integer(section["M"], 1, "params.M"), _integer(section["N"], 1, "params.N")
+        dimension = _integer(section.get("dimension", 1), 1, "params.dimension")
         if section.get("preset") == "classical_kac":
             extra = {"lambda_S", "lambda_R", "mu"} & set(section)
             if extra:
                 raise ConfigError(f"preset forbids explicit rates: {sorted(extra)}")
-            return GeneratorParams.classical_kac(M, N, dimension=int(section.get("dimension", 1)))
+            return GeneratorParams.classical_kac(M, N, dimension=dimension)
         if "preset" in section:
             raise ConfigError(f"unknown preset {section['preset']!r}")
         return GeneratorParams(
@@ -65,7 +74,7 @@ def build_params(section: dict) -> GeneratorParams:
             lambda_S=float(section.get("lambda_S", 0.0)),
             lambda_R=float(section.get("lambda_R", 0.0)),
             mu=float(section.get("mu", 0.0)),
-            dimension=int(section.get("dimension", 1)),
+            dimension=dimension,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
@@ -108,7 +117,7 @@ def build_initial(section: dict) -> InitialCondition:
             n_hot = section.get("n_hot")
             return InitialCondition.two_temperature(
                 float(section["s_hot"]), float(section["s_cold"]),
-                int(n_hot) if n_hot is not None else None,
+                None if n_hot is None else _integer(n_hot, 0, "initial.n_hot"),
             )
         if kind == "shifted_gaussian":
             _require_keys(section, {"kind", "mean", "s"}, {"kind", "mean"}, "initial")
@@ -130,8 +139,8 @@ def build_ensemble(section: dict) -> EnsembleConfig:
     try:
         return EnsembleConfig(
             n_traj=_integer(section["n_traj"], 1, "ensemble.n_traj", MAX_TRAJECTORIES),
-            t_grid=tuple(float(t) for t in section["t_grid"]),
-            seed=int(section["seed"]),
+            t_grid=tuple(_times(section["t_grid"], "ensemble.t_grid")),
+            seed=_integer(section["seed"], -math.inf, "ensemble.seed"),
             record=tuple(section.get("record", ("system_velocities",))),
         )
     except (TypeError, ValueError) as exc:
@@ -201,10 +210,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     envelope_options = dict(raw.get("envelope", {}))
     _require_keys(envelope_options, {"t_grid"}, set(), "envelope")
     if "t_grid" in envelope_options:
-        try:
-            grid = [float(t) for t in envelope_options["t_grid"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid envelope.t_grid: {exc}") from exc
+        grid = _times(envelope_options["t_grid"], "envelope.t_grid")
         if not all(math.isfinite(t) and t >= 0 for t in grid):
             raise ConfigError(f"envelope.t_grid must hold finite times >= 0, got {grid}")
         envelope_options["t_grid"] = grid
@@ -234,9 +240,9 @@ def _finite(text: str) -> float:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON config file; NaN, Infinity and overflowing numbers are rejected."""
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=_finite, parse_float=_finite)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_finite, parse_float=_finite)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

@@ -3,8 +3,8 @@
 The angle construction smooths a law with the order-2K Fejer kernel and
 samples the resulting trigonometric polynomial on the 4K+1 uniform grid,
 which reproduces its Fourier coefficients through order 2K exactly.  The
-sphere rule tensorizes Gauss-Legendre in the polar cosine with a uniform
-azimuthal grid.
+sphere rule tensorizes numpy's Gauss-Legendre rule in the polar cosine with
+a uniform azimuthal grid.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI, AngleDistribution
-from .quadrature import gauss_legendre
 
 WEIGHT_TOL = 1e-12
 
@@ -130,7 +129,7 @@ def build_sphere_quadrature(polar_order: int, azimuthal_count: int) -> SphereQua
     """Discrete measure on the sphere exact for low-degree polynomial moments."""
     if polar_order < 2 or azimuthal_count < 2:
         raise ValueError("polar order and azimuthal count must both be >= 2")
-    u, w = gauss_legendre(polar_order)
+    u, w = np.polynomial.legendre.leggauss(polar_order)
     phis = np.pi * np.arange(2 * azimuthal_count) / azimuthal_count
     sin_theta = np.sqrt(1.0 - u * u)
     # node (i, j): direction at polar cosine u_i and azimuth phi_j

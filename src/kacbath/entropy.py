@@ -2,11 +2,12 @@
 
 The target quantity is the relative entropy of the system marginal with
 respect to the thermal state exp(-pi |v|^2), which splits as
-pi * E|v|^2 minus the differential entropy.  The differential entropy is
-estimated with the classic k-nearest-neighbor construction; standard errors
-come from bootstrapping the per-sample contributions (refitting neighbor
+pi * E|v|^2 minus the differential entropy.  One estimator,
+`relative_entropy_to_thermal`, computes both terms: the differential entropy
+by the Kozachenko-Leonenko k-nearest-neighbor construction, the standard
+error by bootstrapping the per-sample contributions (refitting neighbor
 graphs on with-replacement resamples would inject spurious zero distances).
-scipy is imported inside the kNN functions, not at module level, so commands
+scipy is imported inside the estimator, not at module level, so commands
 that never estimate an entropy start without loading it.
 """
 from __future__ import annotations
@@ -24,24 +25,6 @@ DEFAULT_K = 4
 DEFAULT_BOOTSTRAP = 50
 BIAS_MARGIN_PER_DIM = 0.02  # empirical kNN bias allowance per dimension, n >= 1e5
 JITTER_SCALE = 1e-12
-
-
-@dataclass(frozen=True)
-class SampleCloud:
-    """System-velocity samples at a fixed observation time."""
-
-    points: np.ndarray
-    t: float = 0.0
-    seed: int = 0
-    n_traj: int = 0
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or len(pts) < 2:
-            raise ValueError("need a 2-D array with at least two samples")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,7 @@ def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     eps = dist[:, k]
     jittered = False
     if np.any(eps <= 0.0):
-        warnings.warn("duplicate samples: jittering at 1e-12 scale", stacklevel=4)
+        warnings.warn("duplicate samples: jittering at 1e-12 scale", stacklevel=3)
         jittered = True
         scale = JITTER_SCALE * max(1.0, float(np.sqrt(np.mean(points ** 2))))
         points = points + rng.normal(size=points.shape) * scale
@@ -77,22 +60,6 @@ def _knn_log_distances(points: np.ndarray, k: int, rng: np.random.Generator) -> 
         dist, _ = tree.query(points, k=k + 1, workers=-1)
         eps = dist[:, k]
     return np.log(eps), jittered
-
-
-def _knn_core(cloud, k: int, rng: np.random.Generator | None):
-    """Points (n, dim), log k-th neighbor distances, jitter flag, the constant
-    digamma(n) - digamma(k) + log|unit ball|, and the stream to resample with."""
-    from scipy.special import digamma
-
-    points = cloud.points if isinstance(cloud, SampleCloud) else np.asarray(cloud, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    n, dim = points.shape
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n samples")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    log_eps, jittered = _knn_log_distances(points, k, rng)
-    return points, log_eps, jittered, digamma(n) - digamma(k) + log_unit_ball_volume(dim), rng
 
 
 def _bootstrap_se(contributions: np.ndarray, n_bootstrap: int, rng: np.random.Generator) -> float:
@@ -110,31 +77,29 @@ def _bootstrap_se(contributions: np.ndarray, n_bootstrap: int, rng: np.random.Ge
     return float(replicates.std(ddof=1))
 
 
-def knn_differential_entropy(
-    cloud: SampleCloud | np.ndarray,
-    k: int = DEFAULT_K,
-    n_bootstrap: int = DEFAULT_BOOTSTRAP,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Nearest-neighbor estimate of -int f log f with bootstrap standard error."""
-    points, log_eps, _, const, rng = _knn_core(cloud, k, rng)
-    contributions = points.shape[1] * log_eps
-    return const + float(contributions.mean()), _bootstrap_se(contributions, n_bootstrap, rng)
-
-
 def relative_entropy_to_thermal(
-    cloud: SampleCloud | np.ndarray,
+    cloud: np.ndarray,
     k: int = DEFAULT_K,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
     rng: np.random.Generator | None = None,
 ) -> EntropyEstimate:
     """Estimate the relative entropy of the sample law w.r.t. the thermal state.
 
+    `cloud` holds n finite samples, shape (n, dim) or (n,) in one dimension.
     Combines the second-moment term and the differential-entropy term at the
     per-sample level so the bootstrap captures their correlation.
     """
-    points, log_eps, jittered, const, rng = _knn_core(cloud, k, rng)
+    from scipy.special import digamma
+
+    points = np.asarray(cloud, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
     n, dim = points.shape
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n samples")
+    rng = rng if rng is not None else np.random.default_rng(0)
+    log_eps, jittered = _knn_log_distances(points, k, rng)
+    const = digamma(n) - digamma(k) + log_unit_ball_volume(dim)
     moment_part = math.pi * np.sum(points ** 2, axis=1)
     contributions = moment_part - dim * log_eps
     return EntropyEstimate(

@@ -1,59 +1,15 @@
-"""Gauss-Legendre and Gauss-Hermite rules backing the measure constructions and integral checks."""
+"""Quadrature for the angle-law moments and the integral checks.
+
+The 1-D Gauss-Legendre and Gauss-Hermite rules are numpy's (`leggauss`,
+`hermgauss`), looked up at the call so that importing this module does not
+load `numpy.polynomial`; this module tensorizes and segments them.
+"""
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
 import numpy as np
-
-
-class RootFindingError(RuntimeError):
-    """Newton iteration for Legendre roots failed to converge."""
-
-
-def legendre_value_and_derivative(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate P_L and P_L' by the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    if order == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for n in range(2, order + 1):
-        p_prev, p = p, ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
-    # (1 - x^2) P_L'(x) = L (P_{L-1}(x) - x P_L(x)); endpoints get the closed form
-    denom = 1.0 - x * x
-    interior = denom != 0.0
-    dp = np.empty_like(p)
-    dp[interior] = order * (p_prev[interior] - x[interior] * p[interior]) / denom[interior]
-    edge = 0.5 * order * (order + 1)
-    dp[~interior] = edge * np.sign(x[~interior]) ** (order + 1)
-    return p, dp
-
-
-def gauss_legendre(order: int, tol: float = 1e-14, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integration of polynomials on [-1, 1].
-
-    Roots of P_L are found by Newton iteration started from the Chebyshev
-    angles; raises RootFindingError instead of returning a degraded rule.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    k = np.arange(1, order + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
-    converged = False
-    for _ in range(max_iter):
-        p, dp = legendre_value_and_derivative(order, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= tol:
-            converged = True
-            break
-    if not converged:
-        raise RootFindingError(f"Legendre root search did not reach {tol} in {max_iter} iterations")
-    _, dp = legendre_value_and_derivative(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    idx = np.argsort(x)
-    return x[idx], w[idx]
 
 
 def gauss_hermite_gaussian(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,9 +40,9 @@ def gaussian_tensor_rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def segment_quadrature(fn, edges: np.ndarray, order: int = 12) -> float:
-    """Integrate fn over [edges[0], edges[-1]] with a fixed Gauss rule per segment."""
-    x, w = gauss_legendre(order)
+def segment_quadrature(fn, edges: np.ndarray) -> float:
+    """Integrate fn over [edges[0], edges[-1]] with the 12-point Gauss-Legendre rule per segment."""
+    x, w = np.polynomial.legendre.leggauss(12)
     edges = np.asarray(edges, dtype=float)
     a = edges[:-1]
     b = edges[1:]

@@ -29,7 +29,6 @@ from kacbath import (
 from kacbath.engine import estimator_rng, trajectory_rng
 from kacbath.model import sample_pairs_array
 from kacbath.moments import fit_decay_rate
-from kacbath.quadrature import gauss_legendre
 from kacbath.verification import (
     angle_measure_report,
     run_bl_suite,
@@ -168,7 +167,8 @@ def test_criterion_6_discretization_exactness(uniform_rho):
             assert abs(rule.mass - 1.0) <= 1e-12
             assert np.max(np.abs(rule.second_moment() - np.eye(3) / 3.0)) <= 1e-12
     for L in range(2, 9):
-        x, w = gauss_legendre(L)
+        rule = build_sphere_quadrature(L, 2)
+        x, w = rule.polar_nodes, rule.polar_weights
         for p in range(2 * L):
             exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
             assert abs(np.dot(w, x ** p) - exact) <= 1e-11

@@ -337,6 +337,7 @@ def test_cold_import_loads_scipy_only_for_entropy(tmp_path):
 NAN, INF = float("nan"), float("inf")
 SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
 HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dimension": 1}
+BASE_PARAMS = BASE_CONFIG["params"]
 
 
 @pytest.mark.parametrize("command, overrides, extra", [
@@ -372,13 +373,25 @@ HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dim
     ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "record": ["collision_counts"]}}, []),
     ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "0"]),
     ("entropy", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "-2"]),
+    ("simulate", {"params": {**BASE_PARAMS, "M": 2.5}}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "M": True}}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "M": "2"}}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "N": 8.5}}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "dimension": 1.9}}, []),
+    ("simulate", {"initial": {"kind": "two_temperature", "s_hot": 0.5, "s_cold": 0.1, "n_hot": 1.7}}, []),
+    ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "seed": 2.7}}, []),
+    ("envelope", {"envelope": {"t_grid": []}}, []),
+    ("envelope", {"envelope": {"t_grid": "01"}}, []),
+    ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "t_grid": "01"}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
         "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates", "lambda-1e300-simulate",
         "lambda-1e300-entropy", "lambda-1e300-envelope", "envelope-t-1e6", "n_traj-1e300",
         "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300",
-        "record-collision_counts", "workers-0-simulate", "workers-negative-entropy"])
+        "record-collision_counts", "workers-0-simulate", "workers-negative-entropy", "M-fraction",
+        "M-true", "M-string", "N-fraction", "dimension-fraction", "n_hot-fraction", "seed-fraction",
+        "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]
@@ -386,6 +399,20 @@ def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, co
         argv += ["--config", str(write_config(tmp_path, overrides))]
     out = tmp_path / "never"
     assert main(argv + ["--out", str(out)] + extra) == 2
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config"
+
+
+@pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{"], ids=["missing", "directory", "not-utf8"])
+def test_cli_unreadable_config_exits_2_without_outputs(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag["error"] == "config"

@@ -62,9 +62,10 @@ def test_fourier_equality_raised_cosine_k3():
 
 def test_angle_report_pass_is_the_fourier_verdict_alone():
     # AngleDistribution.atoms enforces mass, sin*cos moment and weight signs, so only the
-    # spectrum match decides `pass`; at tol = mismatch the mass error (2.2e-16) is above tol
+    # spectrum match decides `pass`; at tol = mismatch the mass error (1.1e-16 or 2.2e-16)
+    # is above tol (K = 4 is left out: numpy's Gauss-Legendre rule gives it mass exactly 1)
     rho = AngleDistribution.from_density(raised_cosine)
-    for k in (1, 4, 8):
+    for k in (1, 6, 8):
         nu = build_discrete_angle_measure(rho, k)
         mismatch = angle_measure_report(nu)["max_fourier_mismatch"]
         for tol in (mismatch / 2, mismatch, 2 * mismatch):

@@ -9,10 +9,8 @@ from kacbath import (
     EntropyEstimate,
     GeneratorParams,
     InitialCondition,
-    SampleCloud,
     decay_check,
     gaussian_initial_entropy,
-    knn_differential_entropy,
     relative_entropy_to_thermal,
 )
 from kacbath.engine import trajectory_rng
@@ -38,7 +36,8 @@ def test_knn_entropy_gaussian_dim2():
     rng = trajectory_rng(60, 0)
     sigma2 = 0.5
     x = rng.normal(size=(100000, 2)) * math.sqrt(sigma2)
-    value, se = knn_differential_entropy(x, k=4, rng=trajectory_rng(60, 1))
+    est = relative_entropy_to_thermal(x, k=4, rng=trajectory_rng(60, 1))
+    value, se = est.differential_entropy, est.std_error
     assert abs(value - gaussian_entropy(2, sigma2)) < 0.03
     assert se > 0
 
@@ -47,16 +46,16 @@ def test_knn_entropy_scaling_law():
     rng = trajectory_rng(61, 0)
     x = rng.normal(size=(20000, 2))
     c = 2.7
-    v1, _ = knn_differential_entropy(x, rng=trajectory_rng(61, 1))
-    v2, _ = knn_differential_entropy(c * x, rng=trajectory_rng(61, 2))
+    v1 = relative_entropy_to_thermal(x, rng=trajectory_rng(61, 1)).differential_entropy
+    v2 = relative_entropy_to_thermal(c * x, rng=trajectory_rng(61, 2)).differential_entropy
     assert abs((v2 - v1) - 2 * math.log(c)) < 1e-9
 
 
 def test_knn_entropy_se_shrinks():
     rng = trajectory_rng(62, 0)
     x = rng.normal(size=(40000, 2))
-    _, se_small = knn_differential_entropy(x[:20000], rng=trajectory_rng(62, 1))
-    _, se_large = knn_differential_entropy(x, rng=trajectory_rng(62, 2))
+    se_small = relative_entropy_to_thermal(x[:20000], rng=trajectory_rng(62, 1)).std_error
+    se_large = relative_entropy_to_thermal(x, rng=trajectory_rng(62, 2)).std_error
     assert se_large < se_small
 
 
@@ -64,7 +63,7 @@ def test_duplicate_points_are_jittered():
     x = np.zeros((100, 2))
     x[50:] = 1.0
     with pytest.warns(UserWarning):
-        value, se = knn_differential_entropy(x, k=2, rng=trajectory_rng(63, 0))
+        value = relative_entropy_to_thermal(x, k=2, rng=trajectory_rng(63, 0)).differential_entropy
     assert math.isfinite(value)
 
 
@@ -125,11 +124,17 @@ def test_histogram_cross_check_1d():
 
 def test_sample_cloud_validation():
     with pytest.raises(ValueError):
-        SampleCloud(points=np.zeros((1, 2)))
+        relative_entropy_to_thermal(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        SampleCloud(points=np.array([[1.0, math.nan]] * 5))
-    cloud = SampleCloud(points=np.zeros((5, 2)) + np.arange(5)[:, None], t=1.0)
-    assert cloud.points.shape == (5, 2)
+        relative_entropy_to_thermal(np.array([[1.0, math.nan]] * 5))
+    est = relative_entropy_to_thermal(np.zeros((5, 2)) + np.arange(5)[:, None])
+    assert (est.estimator["n"], est.estimator["dim"]) == (5, 2)
+
+
+def test_jitter_warning_points_at_the_caller():
+    with pytest.warns(UserWarning) as record:
+        relative_entropy_to_thermal(np.zeros((10, 2)), k=2, n_bootstrap=2)
+    assert record[0].filename == __file__
 
 
 # ----------------------------------------------------- analytic initial entropy

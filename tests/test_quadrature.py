@@ -3,44 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from kacbath import build_sphere_quadrature
 from kacbath.quadrature import (
     gauss_hermite_gaussian,
-    gauss_legendre,
     gaussian_tensor_rule,
-    legendre_value_and_derivative,
     segment_quadrature,
     tensor_rule,
 )
 
 
-@pytest.mark.parametrize("order", [2, 3, 5, 8, 16, 32, 64])
-def test_gauss_legendre_matches_numpy(order):
-    x, w = gauss_legendre(order)
-    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
-    assert np.max(np.abs(x - x_ref)) < 1e-13
-    assert np.max(np.abs(w - w_ref)) < 1e-13
-
-
-def test_two_point_rule_is_pm_inv_sqrt3():
-    x, w = gauss_legendre(2)
-    assert np.allclose(x, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
-    assert np.allclose(w, [1.0, 1.0], atol=1e-14)
-
-
 @pytest.mark.parametrize("order", range(2, 9))
 def test_exactness_on_monomials(order):
-    # exact for all monomials of degree <= 2*order - 1 against the interval integral
-    x, w = gauss_legendre(order)
+    # the sphere rule's polar Gauss-Legendre rule is exact for all monomials of
+    # degree <= 2*order - 1 against the interval integral
+    rule = build_sphere_quadrature(order, 2)
+    x, w = rule.polar_nodes, rule.polar_weights
     for p in range(2 * order):
         exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
         assert abs(np.dot(w, x ** p) - exact) < 1e-11
-
-
-def test_legendre_recurrence_low_orders():
-    x = np.linspace(-1, 1, 7)
-    p2, dp2 = legendre_value_and_derivative(2, x)
-    assert np.allclose(p2, 1.5 * x * x - 0.5, atol=1e-15)
-    assert np.allclose(dp2, 3.0 * x, atol=1e-12)
 
 
 def test_gauss_hermite_gaussian_moments():
