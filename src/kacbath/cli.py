@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--workers", default="1",
-                       help="worker processes, an integer >= 1 checked by every command (env "
+                       help="worker threads, an integer >= 1 checked by every command (env "
                        "KACBATH_WORKERS overrides); only simulate and entropy use more than one, "
                        "and the kNN query always uses every CPU")
         return p

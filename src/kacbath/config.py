@@ -230,17 +230,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
-    return value
+def _finite(text: str, kind: type = float) -> float | int:
+    """A JSON number as `kind`, if it is a finite float: an integer past sys.float_info.max is rejected too."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"config holds the number {text}, which is not a finite float")
+    return kind(text)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON config file; NaN, Infinity and overflowing numbers are rejected."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_finite, parse_float=_finite)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_finite, parse_float=_finite,
+                         parse_int=lambda text: _finite(text, int))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

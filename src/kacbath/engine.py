@@ -15,8 +15,9 @@ every observation time.
 
 Reproducibility: chunk c of a run with seed s draws everything from the
 counter-based Philox stream keyed by (s, c), so results are bit-identical for
-any worker count, and aggregation follows trajectory order.  Outputs for a
-seed differ from kacbath 0.1.0, which keyed one stream per trajectory.
+any number of worker threads, and aggregation follows trajectory order.
+Outputs for a seed differ from kacbath 0.1.0, which keyed one stream per
+trajectory.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; imported here, forked pool workers inherit it
+import numpy.random
 
 from .model import (
     THERMAL_VARIANCE,
@@ -326,8 +327,8 @@ def simulate_ensemble(
 
     Trajectories are simulated in chunks of _CHUNK, each on the stream keyed
     by (seed, chunk index), so any worker count yields identical arrays.
-    Workers are capped by the number of chunks and of CPUs; one worker runs
-    in this process.
+    Workers are threads, capped by the number of chunks and of CPUs; one
+    worker runs in the caller's thread.
     """
     t_grid = np.asarray(config.t_grid, dtype=float)
     n = config.n_traj
@@ -342,9 +343,9 @@ def simulate_ensemble(
     energies = np.empty((n, len(t_grid))) if record_energies else None
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # imported here so one-worker runs skip it
+            from concurrent.futures import ThreadPoolExecutor  # imported here so one-worker runs skip it
 
-            chunks = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_simulate_chunk, jobs)
+            chunks = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map(_simulate_chunk, jobs)
         else:
             chunks = map(_simulate_chunk, jobs)
         for index, (snaps, cnts, ener) in enumerate(chunks):

@@ -282,14 +282,23 @@ def collide(z: np.ndarray, lanes: np.ndarray, i: np.ndarray, j: np.ndarray, para
     n, d, r, batch = z.shape
     flat = z.reshape(-1)
     stride = d * r * batch  # elements per particle block
-    fi = np.arange(d * r)[:, None] * batch + (i * stride + lanes)
-    fj = fi + (j - i) * stride
+    fi = i * stride  # built in place: each numpy call is a GIL hand-off between worker threads
+    fi += lanes
+    fj = j * stride
+    fj += lanes
+    if d * r > 1:
+        rows = np.arange(d * r)[:, None] * batch
+        fi, fj = rows + fi, rows + fj
     zi = flat[fi]
     zj = flat[fj]
     if d == 1:
         c, s = param
-        flat[fi] = c * zi + s * zj
-        flat[fj] = c * zj - s * zi
+        t = c * zi
+        t += s * zj
+        u = c * zj
+        u -= s * zi
+        flat[fi] = t
+        flat[fj] = u
     else:
         x = (zi - zj).reshape(3, r, -1)
         g = param[0] * x[0]

@@ -383,6 +383,9 @@ BASE_PARAMS = BASE_CONFIG["params"]
     ("envelope", {"envelope": {"t_grid": []}}, []),
     ("envelope", {"envelope": {"t_grid": "01"}}, []),
     ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "t_grid": "01"}}, []),
+    ("envelope", {"envelope": {"t_grid": [0, 10 ** 400]}}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "M": 10 ** 400}, "initial": None}, []),
+    ("simulate", {"params": {**BASE_PARAMS, "lambda_S": 10 ** 400}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -391,7 +394,8 @@ BASE_PARAMS = BASE_CONFIG["params"]
         "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300",
         "record-collision_counts", "workers-0-simulate", "workers-negative-entropy", "M-fraction",
         "M-true", "M-string", "N-fraction", "dimension-fraction", "n_hot-fraction", "seed-fraction",
-        "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string"])
+        "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
+        "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]

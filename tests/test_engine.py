@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from kacbath import (
     simulate_ensemble,
     simulate_trajectory,
 )
+from kacbath.config import build_angle_distribution
 from kacbath.engine import SimulationError, trajectory_rng
 from kacbath.model import THERMAL_VARIANCE
+from tests.conftest import raised_cosine
 from tests.oracles import collide_pair_3d, rotate_pair_1d
 
 
@@ -357,8 +360,13 @@ def test_window_without_events_keeps_state_bit_identical(params28, uniform_rho):
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
-def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, uniform_rho):
+def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, uniform_rho, monkeypatch):
     from kacbath.engine import _CHUNK
+
+    def no_fork():
+        raise AssertionError("the ensemble forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)  # workers are threads
 
     p = GeneratorParams(M=2, N=3, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=dimension)
     rho = uniform_rho if dimension == 1 else None
@@ -371,3 +379,42 @@ def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, unif
     assert serial.snapshots.tobytes() == parallel.snapshots.tobytes()
     assert serial.counts.tobytes() == parallel.counts.tobytes()
     assert serial.energies.tobytes() == parallel.energies.tobytes()
+
+
+def _ensemble_bytes(result):
+    return result.snapshots.tobytes(), result.counts.tobytes()
+
+
+def test_unpicklable_custom_sampler_runs_on_two_workers(params28, uniform_rho):
+    from kacbath.engine import _CHUNK
+
+    init = InitialCondition.custom(lambda params, rng: rng.normal(size=2) * 0.5)
+    cfg = EnsembleConfig(n_traj=_CHUNK + 5, t_grid=(0.0, 0.5), seed=61)
+    serial = simulate_ensemble(params28, uniform_rho, init, cfg, workers=1)
+    parallel = simulate_ensemble(params28, uniform_rho, init, cfg, workers=2)
+    assert _ensemble_bytes(serial) == _ensemble_bytes(parallel)
+
+
+def test_nan_sampler_aborts_on_two_workers(params28, uniform_rho):
+    from kacbath.engine import _CHUNK
+
+    init = InitialCondition.custom(lambda params, rng: np.array([math.nan, 0.0]))
+    cfg = EnsembleConfig(n_traj=_CHUNK + 5, t_grid=(0.0, 0.5), seed=62)
+    with pytest.raises(SimulationError):
+        simulate_ensemble(params28, uniform_rho, init, cfg, workers=2)
+
+
+def test_density_table_ensemble_identical_across_workers(params28):
+    from kacbath.engine import _CHUNK
+
+    thetas = np.linspace(-math.pi, math.pi, 401)
+
+    def rho():  # a fresh law each run, so two worker threads may both build its inverse-CDF table
+        return build_angle_distribution({"type": "density_table", "thetas": thetas.tolist(),
+                                         "values": raised_cosine(thetas).tolist()})
+
+    init = InitialCondition.gaussian_product(0.3)
+    cfg = EnsembleConfig(n_traj=2 * _CHUNK + 9, t_grid=(0.0, 0.5), seed=64)
+    serial = simulate_ensemble(params28, rho(), init, cfg, workers=1)
+    parallel = simulate_ensemble(params28, rho(), init, cfg, workers=2)
+    assert _ensemble_bytes(serial) == _ensemble_bytes(parallel)
