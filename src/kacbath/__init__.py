@@ -44,7 +44,6 @@ from .model import (
 from .moments import (
     DecayEnvelope,
     MomentPair,
-    MomentUpdateMatrix,
     envelope,
     envelope_poisson_sum,
     propagate_moments,

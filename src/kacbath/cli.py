@@ -111,8 +111,7 @@ def cmd_entropy(args, cfg, seed):
         relative_entropy_to_thermal(result.cloud(ti), k=k, n_bootstrap=n_boot, rng=estimator_rng(seed, ti))
         for ti in range(len(result.t_grid))
     ]
-    report = decay_check(result.t_grid, estimates, s0, cfg.params, cfg.rho,
-                         bias_margin=cfg.entropy_options.get("bias_margin"))
+    report = decay_check(result.t_grid, estimates, s0, cfg.params, cfg.rho)
     rows = [{"t": r.t, "S_hat": r.estimate, "SE": r.std_error, "envelope": r.envelope,
              "bound": r.bound, "margin": r.margin, "pass": r.passed} for r in report.rows]
     files = {

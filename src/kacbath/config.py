@@ -197,16 +197,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"invalid initial: {exc}") from exc
     ensemble = build_ensemble(raw["ensemble"]) if "ensemble" in raw else None
     entropy_options = dict(raw.get("entropy", {}))
-    _require_keys(entropy_options, {"k", "bootstrap", "bias_margin"}, set(), "entropy")
+    _require_keys(entropy_options, {"k", "bootstrap"}, set(), "entropy")
     if "k" in entropy_options:
         entropy_options["k"] = _integer(entropy_options["k"], 1, "entropy.k")
     if "bootstrap" in entropy_options:
         entropy_options["bootstrap"] = _integer(entropy_options["bootstrap"], 2, "entropy.bootstrap", MAX_BOOTSTRAP)
-    if "bias_margin" in entropy_options:
-        bias = entropy_options["bias_margin"]
-        if isinstance(bias, bool) or not isinstance(bias, (int, float)) or not math.isfinite(bias):
-            raise ConfigError(f"entropy.bias_margin must be a finite number, got {bias!r}")
-        entropy_options["bias_margin"] = float(bias)
     envelope_options = dict(raw.get("envelope", {}))
     _require_keys(envelope_options, {"t_grid"}, set(), "envelope")
     if "t_grid" in envelope_options:

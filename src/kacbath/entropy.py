@@ -178,7 +178,6 @@ def decay_check(
     s0: float,
     params: GeneratorParams,
     rho: AngleDistribution | None = None,
-    bias_margin: float | None = None,
 ) -> DecayReport:
     """Verdict per observation time of estimate <= envelope * S0 + 3 SE + bias.
 
@@ -186,8 +185,7 @@ def decay_check(
     """
     if len(estimates) != len(t_grid):
         raise ValueError("one estimate per observation time required")
-    if bias_margin is None:
-        bias_margin = BIAS_MARGIN_PER_DIM * params.dimension * params.M
+    bias_margin = BIAS_MARGIN_PER_DIM * params.dimension * params.M
     env = DecayEnvelope.from_params(params, rho)
     rows = []
     for t, est in zip(t_grid, estimates):

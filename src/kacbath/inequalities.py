@@ -168,9 +168,6 @@ class BLDatum:
     def dims(self) -> np.ndarray:
         return np.array([b.shape[0] for b in self.maps])
 
-    def trace_sum(self) -> float:
-        return float(np.dot(self.weights, self.dims))
-
     def identity_defect(self) -> float:
         m = self.ambient_dim
         acc = np.zeros((m, m))

@@ -1,8 +1,10 @@
 """Closed-form second-moment evolution and the entropy-decay envelope.
 
 A single averaged jump maps the pair (m1, m2) of per-coordinate second
-moments (system, bath) linearly; everything here is elementary algebra on
-that 2x2 update matrix.
+moments (system, bath) linearly.  DecayEnvelope holds the four numbers of
+that map: the system and bath weights M/(M+N) and N/(M+N), the relaxation
+rate in time and the relaxing eigenvalue per jump; every closed form here
+reads them from it.
 """
 from __future__ import annotations
 
@@ -30,76 +32,52 @@ class MomentPair:
 
 
 @dataclass(frozen=True)
-class MomentUpdateMatrix:
-    """2x2 map applied to (m1, m2) by one jump averaged over pairs and angles.
-
-    Row-stochastic with eigenvalue 1 on the equal-moment line (1, 1); the
-    second eigenvalue controls relaxation toward energy equipartition.
-    """
-
-    coupling: float  # off-diagonal transfer fraction, mu_eff / Lambda
-    ratio: float  # M / N
-
-    @classmethod
-    def from_params(cls, params: GeneratorParams, rho: AngleDistribution | None = None) -> "MomentUpdateMatrix":
-        lam = params.total_rate
-        if lam <= 0.0:
-            raise ValueError("total jump rate is zero")
-        mu_eff = effective_coupling_rate(params, rho)
-        return cls(coupling=mu_eff / lam, ratio=params.M / params.N)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a = self.coupling
-        b = self.coupling * self.ratio
-        return np.array([[1.0 - a, a], [b, 1.0 - b]])
-
-    @property
-    def eigenvalues(self) -> tuple[float, float]:
-        return (1.0, 1.0 - self.coupling * (1.0 + self.ratio))
-
-    def apply(self, moments: MomentPair) -> MomentPair:
-        # Difference form keeps the equal-moment line exactly fixed.
-        m1, m2 = moments.m1, moments.m2
-        gap = m2 - m1
-        return MomentPair(m1 + self.coupling * gap, m2 - self.coupling * self.ratio * gap)
-
-
-def sum_rule_constant(k: int, params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
-    """Contraction factor after k averaged jumps; decays from 1 toward M/(M+N)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    M, N = params.M, params.N
-    ell2 = MomentUpdateMatrix.from_params(params, rho).eigenvalues[1]
-    return M / (N + M) + (N / (N + M)) * ell2 ** k
-
-
-@dataclass(frozen=True)
 class DecayEnvelope:
-    """Multiplicative entropy bound D(t) = w_sys + w_bath * exp(-rate * t)."""
+    """Multiplicative entropy bound D(t) = w_sys + w_bath * exp(-rate * t).
+
+    One jump averaged over pairs and angles fixes M*m1 + N*m2 and multiplies
+    the gap m1 - m2 by per_jump, its relaxing eigenvalue; per_jump is None at
+    zero total jump rate, where no jump happens.
+    """
 
     weight_system: float
     weight_bath: float
     rate: float
+    per_jump: float | None
 
     @classmethod
     def from_params(cls, params: GeneratorParams, rho: AngleDistribution | None = None) -> "DecayEnvelope":
-        if params.N < params.M:
-            warnings.warn(
-                "envelope derived under N >= M; evaluating it anyway", stacklevel=2
-            )
         M, N = params.M, params.N
+        lam = params.total_rate
         mu_eff = effective_coupling_rate(params, rho)
         return cls(
             weight_system=M / (N + M),
             weight_bath=N / (N + M),
             rate=mu_eff * (N + M) / N,
+            per_jump=1.0 - (mu_eff / lam) * (1.0 + M / N) if lam > 0.0 else None,
         )
 
+    def contraction(self, k: int) -> float:
+        """Contraction factor after k averaged jumps; decays from 1 toward M/(M+N)."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if k == 0:  # the empty word needs no jump
+            return self.weight_system + self.weight_bath
+        if self.per_jump is None:
+            raise ValueError("total jump rate is zero")
+        return self.weight_system + self.weight_bath * self.per_jump ** k
+
     def __call__(self, t: float) -> float:
+        if self.weight_bath < self.weight_system:
+            warnings.warn("envelope derived under N >= M; evaluating it anyway", stacklevel=2)
         if t < 0:
             raise ValueError("t must be nonnegative")
         return self.weight_system + self.weight_bath * math.exp(-self.rate * t)
+
+
+def sum_rule_constant(k: int, params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
+    """Contraction factor after k averaged jumps (DecayEnvelope.contraction)."""
+    return DecayEnvelope.from_params(params, rho).contraction(k)
 
 
 def envelope(t: float, params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
@@ -142,12 +120,7 @@ def envelope_poisson_sum(
     lam_t = params.total_rate * t
     if lam_t == 0.0:
         return 1.0  # no jumps: only the k = 0 term, whose factor is 1
-    M, N = params.M, params.N
-    ell2 = MomentUpdateMatrix.from_params(params, rho).eigenvalues[1]
-
-    def factor(k: int) -> float:
-        return M / (N + M) + (N / (N + M)) * ell2 ** k
-
+    factor = DecayEnvelope.from_params(params, rho).contraction
     m = math.floor(lam_t)
     p_mode = math.exp(_log_poisson_mode(lam_t, m))
     total = p_mode * factor(m)
@@ -178,8 +151,7 @@ def propagate_moments(
         raise ValueError("t must be nonnegative")
     M, N = params.M, params.N
     a, b = m0.m1, m0.m2
-    rate = effective_coupling_rate(params, rho) * (M + N) / N
-    decay = math.exp(-rate * t)
+    decay = math.exp(-DecayEnvelope.from_params(params, rho).rate * t)
     center = (M * a + N * b) / (M + N)
     # convex-combination form: exact at t = 0 and nonnegative in floats
     m1 = a * decay + center * (1.0 - decay)

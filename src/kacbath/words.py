@@ -42,10 +42,6 @@ class BlockDecomposition:
     c: np.ndarray
     d: np.ndarray
 
-    def block_identity_defect(self) -> float:
-        m = self.a.shape[0]
-        return float(np.max(np.abs(self.a @ self.a.T + self.b @ self.b.T - np.eye(m))))
-
 
 @dataclass(frozen=True)
 class SingularSpectrum:
@@ -54,9 +50,6 @@ class SingularSpectrum:
     gammas: np.ndarray
     u: np.ndarray
     vt: np.ndarray
-
-    def reconstruction_defect(self, a: np.ndarray) -> float:
-        return float(np.max(np.abs(self.u @ np.diag(self.gammas) @ self.vt - a)))
 
 
 def realize_inverse_1d(i0: np.ndarray, j0: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:

@@ -212,12 +212,14 @@ def test_criterion_8_structural_properties():
         inv = inverses[idx]
         worst["orth"] = max(worst["orth"], float(np.max(np.abs(inv @ inv.T - eye6))))
         blocks, spectrum = decompose(inv, 2)
-        worst["blocks"] = max(worst["blocks"], blocks.block_identity_defect())
+        block_defect = np.max(np.abs(blocks.a @ blocks.a.T + blocks.b @ blocks.b.T - eye2))
+        worst["blocks"] = max(worst["blocks"], float(block_defect))
         worst["gamma"] = max(
             worst["gamma"],
             float(max(np.max(spectrum.gammas - 1.0), np.max(-spectrum.gammas), 0.0)),
         )
-        worst["svd"] = max(worst["svd"], spectrum.reconstruction_defect(blocks.a))
+        svd_defect = np.max(np.abs(spectrum.u @ np.diag(spectrum.gammas) @ spectrum.vt - blocks.a))
+        worst["svd"] = max(worst["svd"], float(svd_defect))
         _, sw = sigma_subset_weights(spectrum.gammas)
         acc = np.zeros((2, 2))
         for mask, wgt in enumerate(sw):

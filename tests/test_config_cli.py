@@ -197,6 +197,17 @@ def test_cli_verify_sum_rule(tmp_path, capsys):
     assert payload["pass"] is True
 
 
+def test_cli_verify_sum_rule_empty_word_at_zero_rate(tmp_path, capsys):
+    # k = 0 needs no jump, so every rate may be zero
+    zero = {"M": 2, "N": 4, "lambda_S": 0.0, "lambda_R": 0.0, "mu": 0.0, "dimension": 1}
+    cfg_path = write_config(tmp_path, {"params": zero, "initial": None, "ensemble": None})
+    out = tmp_path / "sr0"
+    assert main(["verify-sum-rule", "--config", str(cfg_path), "--out", str(out), "--k", "0", "--n", "10"]) == 0
+    payload = json.loads((out / "sum_rule.json").read_text())
+    assert payload["C_km"] == 1.0
+    assert payload["pass"] is True
+
+
 def test_cli_discretize_angle(tmp_path):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "da"
@@ -425,7 +436,7 @@ def test_cli_unreadable_config_exits_2_without_outputs(tmp_path, capsys, content
 SMALL_CONFIG = {
     **BASE_CONFIG,
     "ensemble": {"n_traj": 40, "t_grid": [0, 0.5, 1], "seed": 99},
-    "entropy": {"k": 2, "bootstrap": 5, "bias_margin": 0.1},
+    "entropy": {"k": 2, "bootstrap": 5},
     "envelope": {"t_grid": [0, 1]},
 }
 FIELDS = [(section, key) for section, body in SMALL_CONFIG.items() for key in (None, *body)]

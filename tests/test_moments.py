@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kacbath import (
     AngleDistribution,
     GeneratorParams,
     MomentPair,
-    MomentUpdateMatrix,
+    effective_coupling_rate,
     envelope,
     envelope_poisson_sum,
     propagate_moments,
@@ -18,9 +19,15 @@ from kacbath import (
 from kacbath.moments import POISSON_TAIL, DecayEnvelope, fit_decay_rate
 
 
+def _update_matrix(params, rho=None):
+    """The 2x2 map one jump, averaged over pairs and angles, applies to (m1, m2)."""
+    a = effective_coupling_rate(params, rho) / params.total_rate
+    b = a * (params.M / params.N)
+    return np.array([[1.0 - a, a], [b, 1.0 - b]])
+
+
 def test_update_matrix_eigenstructure(params28, uniform_rho):
-    upd = MomentUpdateMatrix.from_params(params28, uniform_rho)
-    mat = upd.matrix
+    mat = _update_matrix(params28, uniform_rho)
     # coupling a = mu_eff / Lambda = 0.5 / 7
     assert mat[0, 1] == pytest.approx(0.5 / 7.0, abs=1e-16)
     assert mat[1, 0] == pytest.approx(0.5 / 7.0 * (2.0 / 8.0), abs=1e-16)
@@ -28,19 +35,48 @@ def test_update_matrix_eigenstructure(params28, uniform_rho):
     expected2 = 1.0 - (0.5 / 7.0) * (1.0 + 2.0 / 8.0)
     assert abs(vals[1] - 1.0) < 1e-14
     assert abs(vals[0] - expected2) < 1e-14
-    assert upd.eigenvalues[1] == pytest.approx(expected2, abs=1e-15)
-
-
-def test_equal_moments_fixed_exactly(params28, uniform_rho):
-    upd = MomentUpdateMatrix.from_params(params28, uniform_rho)
-    out = upd.apply(MomentPair(0.37, 0.37))
-    assert out.m1 == 0.37 and out.m2 == 0.37
+    assert DecayEnvelope.from_params(params28, uniform_rho).per_jump == pytest.approx(expected2, abs=1e-15)
 
 
 def test_update_matrix_3d():
     p = GeneratorParams(M=1, N=2, lambda_S=0, lambda_R=1, mu=1, dimension=3)
-    upd = MomentUpdateMatrix.from_params(p)
-    assert upd.eigenvalues[1] == pytest.approx(1.0 - (1.0 / 6.0) * 1.5, abs=1e-15)
+    assert DecayEnvelope.from_params(p).per_jump == pytest.approx(1.0 - (1.0 / 6.0) * 1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("params, rho", [
+    (GeneratorParams(M=2, N=8, lambda_S=1, lambda_R=1, mu=1), AngleDistribution.uniform()),
+    (GeneratorParams(M=2, N=8, lambda_S=1, lambda_R=1, mu=1), AngleDistribution.half_pi_atoms()),
+    (GeneratorParams(M=1, N=2, lambda_S=0, lambda_R=1, mu=1, dimension=3), None),
+], ids=["1d-uniform", "1d-half-pi", "3d"])
+def test_contraction_matches_eigenvalue_power_bitwise(params, rho):
+    M, N = params.M, params.N
+    ell2 = 1.0 - (effective_coupling_rate(params, rho) / params.total_rate) * (1.0 + M / N)
+    env = DecayEnvelope.from_params(params, rho)
+    for k in (0, 1, 8, 60):
+        assert env.contraction(k) == M / (N + M) + (N / (N + M)) * ell2 ** k
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        env.contraction(-1)
+
+
+def test_only_the_envelope_warns_when_bath_smaller(uniform_rho):
+    # the sum rule and the moment ODE hold for any M, N; only D(t) assumes N >= M
+    p = GeneratorParams(M=2, N=1, lambda_S=1, lambda_R=1, mu=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sum_rule_constant(3, p, uniform_rho)
+        envelope_poisson_sum(1.0, p, uniform_rho)
+        propagate_moments(MomentPair(0.9, 0.1), 1.0, p, uniform_rho)
+    with pytest.warns(UserWarning, match="N >= M"):
+        envelope(1.0, p, uniform_rho)
+
+
+def test_contraction_at_zero_rate(uniform_rho):
+    p = GeneratorParams(M=2, N=4, lambda_S=0.0, lambda_R=0.0, mu=0.0)
+    env = DecayEnvelope.from_params(p, uniform_rho)
+    assert env.contraction(0) == env.weight_system + env.weight_bath
+    assert sum_rule_constant(0, p, uniform_rho) == 1.0
+    with pytest.raises(ValueError, match="total jump rate is zero"):
+        sum_rule_constant(1, p, uniform_rho)
 
 
 def test_sum_rule_constant_endpoints(params28, uniform_rho):
@@ -112,7 +148,7 @@ def test_envelope_thermostat_limit():
 def test_envelope_warns_when_bath_smaller():
     p = GeneratorParams(M=8, N=2, lambda_S=1, lambda_R=1, mu=1)
     with pytest.warns(UserWarning):
-        DecayEnvelope.from_params(p, AngleDistribution.uniform())
+        DecayEnvelope.from_params(p, AngleDistribution.uniform())(1.0)
 
 
 def test_classical_preset_envelope_rate():
@@ -140,7 +176,7 @@ def test_propagate_moments_trivials(params28, uniform_rho):
 def test_propagate_moments_vs_poisson_matrix_power(params28, uniform_rho):
     # independent route: average the k-fold matrix update with Poisson weights
     m0 = np.array([1.0 / math.pi, 1.0 / (2 * math.pi)])
-    upd = MomentUpdateMatrix.from_params(params28, uniform_rho).matrix
+    upd = _update_matrix(params28, uniform_rho)
     lam = params28.total_rate
     for t in (0.3, 1.0, 2.5):
         acc = np.zeros(2)

@@ -47,9 +47,9 @@ def test_long_word_orthogonality(params24, uniform_rho, rng):
     _, _, inv = _random_word(50, params24, uniform_rho, rng)
     assert _orthogonality_defect(inv) < 1e-12
     blocks, spectrum = decompose(inv, 2)
-    assert blocks.block_identity_defect() < 1e-12
+    assert np.max(np.abs(blocks.a @ blocks.a.T + blocks.b @ blocks.b.T - np.eye(2))) < 1e-12
     assert np.all(spectrum.gammas >= 0.0) and np.all(spectrum.gammas <= 1.0)
-    assert spectrum.reconstruction_defect(blocks.a) < 1e-12
+    assert np.max(np.abs(spectrum.u @ np.diag(spectrum.gammas) @ spectrum.vt - blocks.a)) < 1e-12
 
 
 def test_disjoint_rotations_commute():
@@ -305,7 +305,7 @@ def test_bl_datum_k1_atoms_resolves_identity():
     nu = AngleDistribution.half_pi_atoms()
     datum = build_bl_datum(1, p, nu)
     assert datum.identity_defect() < 1e-12
-    assert datum.trace_sum() == pytest.approx(2.0, abs=1e-10)
+    assert np.dot(datum.weights, datum.dims) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_bl_datum_with_smoothed_measure(uniform_rho):
@@ -313,7 +313,7 @@ def test_bl_datum_with_smoothed_measure(uniform_rho):
     nu = build_discrete_angle_measure(uniform_rho, 1)
     datum = build_bl_datum(1, p, nu.law)
     assert datum.identity_defect() < 1e-10
-    assert datum.trace_sum() == pytest.approx(2.0, abs=1e-10)
+    assert np.dot(datum.weights, datum.dims) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_bl_datum_rejects_discrete_measure_wrapper(uniform_rho):
@@ -330,7 +330,7 @@ def test_bl_datum_3d_sphere_rule():
     rule = build_sphere_quadrature(2, 2)
     datum = build_bl_datum(1, p, rule)
     assert datum.identity_defect() < 1e-10
-    assert datum.trace_sum() == pytest.approx(3.0, abs=1e-10)
+    assert np.dot(datum.weights, datum.dims) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_bl_datum_enumeration_guard(params24):
