@@ -30,14 +30,14 @@ DEFAULT_SEEDS = (20240809, 424242)
 T_GRID = [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
-def _config(d, M, N, rates=(1.0, 1.0, 1.0), n_traj=None, entropy=False):
+def _config(d, M, N, rates=(1.0, 1.0, 1.0), n_traj=None, entropy=False, initial=None):
     lam_s, lam_r, mu = rates
     cfg = {
         "params": {"M": M, "N": N, "lambda_S": lam_s, "lambda_R": lam_r, "mu": mu, "dimension": d},
         "rho": {"type": "uniform"},
     }
     if n_traj is not None:
-        cfg["initial"] = {"kind": "gaussian_product", "s": 1.0 / math.pi}
+        cfg["initial"] = initial or {"kind": "gaussian_product", "s": 1.0 / math.pi}
         cfg["ensemble"] = {"n_traj": n_traj, "t_grid": T_GRID, "seed": 0}
     if entropy:
         cfg["entropy"] = {"k": 4, "bootstrap": 50}
@@ -50,6 +50,10 @@ CONFIGS = {
     "thermostat_1d": _config(1, 1, 200, rates=(0.0, 1.0, 1.0), n_traj=4096),
     "sum_rule_1d": _config(1, 2, 4),
     "sum_rule_3d": _config(3, 1, 2),
+    "two_temperature_1d": _config(1, 2, 8, n_traj=3000,
+                                  initial={"kind": "two_temperature", "s_hot": 1.0, "s_cold": 0.05}),
+    "shifted_3d": _config(3, 1, 2, n_traj=3000,
+                          initial={"kind": "shifted_gaussian", "mean": [0.5, -0.25, 0.0], "s": 0.2}),
 }
 
 # (label, command, config or None, extra arguments)
@@ -60,6 +64,8 @@ MATRIX = (
     ("thermostat_w1", "simulate", "thermostat_1d", ("--workers", "1")),
     ("thermostat_w2", "simulate", "thermostat_1d", ("--workers", "2")),
     ("simulate_3d", "simulate", "decay_3d", ()),
+    ("two_temperature_1d", "simulate", "two_temperature_1d", ()),
+    ("shifted_3d", "simulate", "shifted_3d", ()),
     ("sum_rule_1d_k8", "verify-sum-rule", "sum_rule_1d", ("--k", "8", "--n", "100000")),
     ("sum_rule_3d_k8", "verify-sum-rule", "sum_rule_3d", ("--k", "8", "--n", "100000")),
     ("sum_rule_k0", "verify-sum-rule", "sum_rule_1d", ("--k", "0", "--n", "1000")),

@@ -6,6 +6,10 @@ drawing the Poisson number of collisions per observation window and applying
 that many i.i.d. pair collisions in sequence.  No time discretization error
 exists; Monte Carlo error is the only error source.
 
+The bath starts thermal.  The system block starts from an `InitialCondition`:
+independent Gaussian coordinates with per-particle variances and a mean,
+checked when the law is built, or an API-only custom sampler.
+
 Trajectories run in lockstep, _CHUNK at a time: collision e of every
 trajectory in a window is one batched call of `model.collide` on the lanes
 of the trajectories that have an e-th collision there; the others are not
@@ -14,14 +18,13 @@ axis last, the layout `collide` takes.  Energy is checked per trajectory at
 every observation time.
 
 Reproducibility: chunk c of a run with seed s draws everything from the
-counter-based Philox stream keyed by (s, c), so results are bit-identical for
-any number of worker threads, and aggregation follows trajectory order.
+counter-based Philox stream keyed by (s, c) and writes its own rows of the
+result arrays, so results are bit-identical for any number of worker threads.
 Outputs for a seed differ from kacbath 0.1.0, which keyed one stream per
 trajectory.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -43,6 +46,7 @@ ENERGY_DRIFT_TOL = 1e-10
 _CHUNK = 2048
 _BLOCK_SLOTS = 2 ** 14  # collision slots (steps x trajectories) drawn at once; bounds peak memory
 _BOOTSTRAP_KEY_OFFSET = 2 ** 63  # separates estimator streams from trajectory streams
+MAX_INITIAL_SCALE = 1e50  # on initial variances and |mean|: fourth moments and their SEs stay finite
 
 
 class SimulationError(RuntimeError):
@@ -62,70 +66,70 @@ def estimator_rng(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial law of the system block; the bath always starts thermal."""
+    """Initial law of the system block; the bath always starts thermal.
 
-    kind: str
+    Independent Gaussian coordinates: variance `s_hot` on the first `n_hot`
+    particles ((M+1)//2 by default) when `s_hot` is set, `s` on the others,
+    all shifted by `mean`.  A `sampler` replaces the Gaussian law by a custom
+    one, which has no analytic moments.
+    """
+
     s: float = THERMAL_VARIANCE
     mean: tuple[float, ...] | None = None
     s_hot: float | None = None
-    s_cold: float | None = None
     n_hot: int | None = None
     sampler: Callable | None = None
 
+    def __post_init__(self):
+        variances = (self.s,) if self.s_hot is None else (self.s, self.s_hot)
+        if not all(0 < v <= MAX_INITIAL_SCALE for v in variances):  # also rejects nan
+            raise ValueError(f"initial variances must lie in (0, {MAX_INITIAL_SCALE:g}], got {variances}")
+        if not all(abs(x) <= MAX_INITIAL_SCALE for x in self.mean or ()):
+            raise ValueError(f"initial |mean| components must be at most {MAX_INITIAL_SCALE:g}, got {self.mean}")
+
     @classmethod
     def thermal(cls) -> "InitialCondition":
-        return cls(kind="gaussian_product", s=THERMAL_VARIANCE)
+        return cls()
 
     @classmethod
     def gaussian_product(cls, s: float) -> "InitialCondition":
-        if s <= 0:
-            raise ValueError("variance must be positive")
-        return cls(kind="gaussian_product", s=s)
+        return cls(s=s)
 
     @classmethod
     def two_temperature(cls, s_hot: float, s_cold: float, n_hot: int | None = None) -> "InitialCondition":
-        if s_hot <= 0 or s_cold <= 0:
-            raise ValueError("variances must be positive")
-        return cls(kind="two_temperature", s_hot=s_hot, s_cold=s_cold, n_hot=n_hot)
+        return cls(s=s_cold, s_hot=s_hot, n_hot=n_hot)
 
     @classmethod
     def shifted_gaussian(cls, mean: Sequence[float], s: float = THERMAL_VARIANCE) -> "InitialCondition":
-        if s <= 0:
-            raise ValueError("variance must be positive")
-        return cls(kind="shifted_gaussian", s=s, mean=tuple(float(x) for x in mean))
+        return cls(s=s, mean=tuple(float(x) for x in mean))
 
     @classmethod
     def custom(cls, sampler: Callable) -> "InitialCondition":
-        return cls(kind="custom", sampler=sampler)
-
-    def _hot_count(self, params: GeneratorParams) -> int:
-        hot = self.n_hot if self.n_hot is not None else (params.M + 1) // 2
-        if not 0 <= hot <= params.M:
-            raise ValueError(f"n_hot must be in 0..{params.M}, got {hot}")
-        return hot
+        return cls(sampler=sampler)
 
     def system_variances(self, params: GeneratorParams) -> np.ndarray:
-        """Per-coordinate variances of the system block (analytic kinds only)."""
+        """Per-coordinate variances of the system block (Gaussian laws only)."""
+        if self.sampler is not None:
+            raise ValueError("a custom initial law has no analytic variances")
         d, M = params.dimension, params.M
-        if self.kind == "gaussian_product" or self.kind == "shifted_gaussian":
-            return np.full(d * M, self.s)
-        if self.kind == "two_temperature":
-            hot = self._hot_count(params)
-            out = np.full(d * M, self.s_cold)
+        out = np.full(d * M, self.s)
+        if self.s_hot is not None:
+            hot = self.n_hot if self.n_hot is not None else (M + 1) // 2
+            if not 0 <= hot <= M:
+                raise ValueError(f"n_hot must be in 0..{M}, got {hot}")
             out[: d * hot] = self.s_hot
-            return out
-        raise ValueError(f"no analytic variances for kind {self.kind!r}")
+        return out
 
     def system_means(self, params: GeneratorParams) -> np.ndarray:
+        if self.sampler is not None:
+            raise ValueError("a custom initial law has no analytic means")
         d, M = params.dimension, params.M
-        if self.kind == "shifted_gaussian":
-            mean = np.asarray(self.mean, dtype=float)
-            if mean.shape != (d * M,):
-                raise ValueError(f"mean must have length {d * M}")
-            return mean
-        if self.kind in ("gaussian_product", "two_temperature"):
+        if self.mean is None:
             return np.zeros(d * M)
-        raise ValueError(f"no analytic means for kind {self.kind!r}")
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.shape != (d * M,):
+            raise ValueError(f"mean must have length {d * M}")
+        return mean
 
     def initial_moments(self, params: GeneratorParams) -> MomentPair:
         """Mean per-coordinate second moments (system, bath) for the oracle."""
@@ -138,7 +142,7 @@ class InitialCondition:
     ) -> np.ndarray:
         """One system block of shape (d*M,), or `size` of them stacked as (size, d*M)."""
         dm = params.dimension * params.M
-        if self.kind == "custom":
+        if self.sampler is not None:
             if size is not None:
                 return np.stack([self.sample_system(params, rng) for _ in range(size)])
             out = np.asarray(self.sampler(params, rng), dtype=float)
@@ -202,20 +206,24 @@ def simulate_trajectory(
     t_grid = np.asarray(t_grid, dtype=float)
     if len(t_grid) < 1 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be nonnegative and strictly increasing")
-    snaps, counts, energies = _simulate_lockstep(params, rho, init, t_grid, rng, 1, record_energies)
-    return Trajectory(t_grid, snaps[0], counts[0], energies[0] if record_energies else None)
+    snapshots = np.empty((1, len(t_grid), params.dimension * params.M))
+    counts = np.zeros((1, 3), dtype=np.int64)
+    energies = np.empty((1, len(t_grid))) if record_energies else None
+    _simulate_lockstep(params, rho, init, t_grid, rng, snapshots, counts, energies)
+    return Trajectory(t_grid, snapshots[0], counts[0], energies[0] if record_energies else None)
 
 
-def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, record_energies: bool):
-    """Evolve `size` trajectories together on one stream.
+def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, snapshots, counts, energies) -> None:
+    """Evolve len(snapshots) trajectories together on one stream, writing their rows.
 
     Draws, in order: system blocks, bath blocks, Poisson counts per window,
     then per window and per block of at most _BLOCK_SLOTS slots (steps x
-    trajectories) the collisions that occur.  Returns snapshots (size,
-    n_times, d*M), per-kind collision counts (size, 3) and energies (size,
-    n_times) or None.
+    trajectories) the collisions that occur.  Fills snapshots (size, n_times,
+    d*M) and, if it is not None, energies (size, n_times); adds the per-kind
+    collision counts to counts (size, 3), which the caller zeroes.
     """
     d, M, N = params.dimension, params.M, params.N
+    size = len(snapshots)
     lam = params.total_rate
     # one state (d(M+N), size), batch axis last as `collide` takes it
     state = np.empty((d * (M + N), size))
@@ -230,9 +238,6 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
     else:
         n_events = np.zeros((size, len(windows)), dtype=np.int64)
 
-    snapshots = np.empty((size, len(t_grid), d * M))
-    counts = np.zeros((size, 3), dtype=np.int64)
-    energies = np.empty((size, len(t_grid))) if record_energies else None
     block_steps = max(1, _BLOCK_SLOTS // size)
     for w, t in enumerate(t_grid):
         due = n_events[:, w]
@@ -247,9 +252,8 @@ def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, size: int, re
         snapshots[:, w] = state[: d * M].T
         energy = np.einsum("ib,ib->b", state, state)
         _check_energy(energy, e0, t)
-        if record_energies:
+        if energies is not None:
             energies[:, w] = energy
-    return snapshots, counts, energies
 
 
 def _draw_collisions(params, rho, rng, occurs: np.ndarray):
@@ -311,11 +315,6 @@ class EnsembleResult:
         return rows
 
 
-def _simulate_chunk(job) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    params, rho, init, t_grid, seed, index, size, record_energies = job
-    return _simulate_lockstep(params, rho, init, t_grid, trajectory_rng(seed, index), size, record_energies)
-
-
 def simulate_ensemble(
     params: GeneratorParams,
     rho: AngleDistribution | None,
@@ -326,39 +325,30 @@ def simulate_ensemble(
     """Run n_traj independent trajectories; bit-reproducible for fixed seed.
 
     Trajectories are simulated in chunks of _CHUNK, each on the stream keyed
-    by (seed, chunk index), so any worker count yields identical arrays.
-    Workers are threads, capped by the number of chunks and of CPUs; one
-    worker runs in the caller's thread.
+    by (seed, chunk index) and writing its own rows of the result, so any
+    worker count yields identical arrays.  Workers are threads, capped by the
+    number of chunks and of CPUs; one worker runs in the caller's thread.
     """
     t_grid = np.asarray(config.t_grid, dtype=float)
     n = config.n_traj
-    record_energies = "energies" in config.record
-    jobs = [
-        (params, rho, init, t_grid, config.seed, index, min(_CHUNK, n - start), record_energies)
-        for index, start in enumerate(range(0, n, _CHUNK))
-    ]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
     snapshots = np.empty((n, len(t_grid), params.dimension * params.M))
-    counts = np.empty((n, 3), dtype=np.int64)
-    energies = np.empty((n, len(t_grid))) if record_energies else None
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # imported here so one-worker runs skip it
+    counts = np.zeros((n, 3), dtype=np.int64)
+    energies = np.empty((n, len(t_grid))) if "energies" in config.record else None
 
-            chunks = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map(_simulate_chunk, jobs)
-        else:
-            chunks = map(_simulate_chunk, jobs)
-        for index, (snaps, cnts, ener) in enumerate(chunks):
-            rows = slice(index * _CHUNK, index * _CHUNK + len(snaps))
-            snapshots[rows] = snaps
-            counts[rows] = cnts
-            if record_energies:
-                energies[rows] = ener
-    return EnsembleResult(
-        params=params,
-        t_grid=t_grid,
-        seed=config.seed,
-        snapshots=snapshots,
-        counts=counts,
-        energies=energies,
-    )
+    def run_chunk(index: int) -> None:
+        rows = slice(index * _CHUNK, (index + 1) * _CHUNK)
+        _simulate_lockstep(params, rho, init, t_grid, trajectory_rng(config.seed, index),
+                           snapshots[rows], counts[rows], None if energies is None else energies[rows])
+
+    chunks = range(-(-n // _CHUNK))
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # imported here so one-worker runs skip it
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_chunk, chunks))
+    else:
+        for index in chunks:
+            run_chunk(index)
+    return EnsembleResult(params=params, t_grid=t_grid, seed=config.seed,
+                          snapshots=snapshots, counts=counts, energies=energies)

@@ -139,9 +139,7 @@ def gaussian_kl_to_thermal(variance: float) -> float:
 
 
 def gaussian_initial_entropy(init, params: GeneratorParams) -> float:
-    """Exact relative entropy of an analytic Gaussian initial condition."""
-    if init.kind == "custom":
-        raise ValueError("custom initial conditions have no analytic entropy; estimate it")
+    """Exact relative entropy of a Gaussian initial condition; a custom law raises ValueError."""
     variances = init.system_variances(params)
     means = init.system_means(params)
     return float(sum(gaussian_kl_to_thermal(s) for s in variances) + math.pi * np.dot(means, means))

@@ -153,8 +153,8 @@ def mc_sum_rule(
     Words are drawn `chunk` at a time and realized _SLICE_WORDS at a time, carrying
     only the d*M system columns: the outputs are those of the full matrices, bit for bit.
     """
-    if n_words < 1:
-        raise ValueError("n_words must be >= 1")
+    if n_words < 2:
+        raise ValueError("n_words must be >= 2: one word has no standard error")
     if params.dimension == 1 and rho is None:
         raise ValueError("an angle distribution is required in dimension 1")
     dm = params.dimension * params.M
@@ -169,11 +169,8 @@ def mc_sum_rule(
         del aat  # not held through the next chunk's draw
         done += b
     z_hat = total / n_words
-    if n_words > 1:
-        var = (total_sq - n_words * z_hat * z_hat) / (n_words - 1)
-        se = np.sqrt(np.clip(var, 0.0, None) / n_words)
-    else:
-        se = np.zeros_like(z_hat)
+    var = (total_sq - n_words * z_hat * z_hat) / (n_words - 1)
+    se = np.sqrt(np.clip(var, 0.0, None) / n_words)
     predicted = sum_rule_constant(k, params, rho)
     target = predicted * np.eye(dm)
     dev = np.abs(z_hat - target)

@@ -1,6 +1,6 @@
 """Reference implementations that only the tests use: one collision on one
 velocity vector, the Gaussian L^p norm in one dimension, the Gaussian marginal
-check of a word's blocks, and frozen copies of the collision draws."""
+check of a word's blocks, and frozen copies of the collision and initial draws."""
 import math
 from dataclasses import dataclass
 
@@ -132,3 +132,19 @@ def sample_pairs_array_reference(params, rng: np.random.Generator, size: int):
     a += np.array([0, M, 0])[kinds]
     b += np.array([0, M, M])[kinds]
     return np.minimum(a, b), np.maximum(a, b), kinds
+
+
+def gaussian_system_block_reference(kind: str, params, rng: np.random.Generator, size: int,
+                                    s=1.0 / (2.0 * math.pi), s_hot=None, s_cold=None, n_hot=None,
+                                    mean=None) -> np.ndarray:
+    """Frozen copy of the per-kind Gaussian initial draw of the system block,
+    as written when `InitialCondition` dispatched on a kind string."""
+    d, M = params.dimension, params.M
+    if kind == "two_temperature":
+        hot = n_hot if n_hot is not None else (M + 1) // 2
+        variances = np.full(d * M, s_cold)
+        variances[: d * hot] = s_hot
+    else:  # thermal, gaussian_product, shifted_gaussian
+        variances = np.full(d * M, s)
+    means = np.asarray(mean, dtype=float) if kind == "shifted_gaussian" else np.zeros(d * M)
+    return means + rng.normal(size=(size, d * M)) * np.sqrt(variances)

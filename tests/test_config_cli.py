@@ -147,6 +147,13 @@ def test_cli_simulate_and_artifacts(tmp_path):
     assert header["n_traj"] == 1500 and header["n_times"] == 3
 
 
+def test_cli_simulate_empty_record_skips_snapshots(tmp_path):
+    cfg_path = write_config(tmp_path, {"ensemble": {**BASE_CONFIG["ensemble"], "record": []}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "moments.csv"]
+
+
 def test_cli_worker_count_does_not_change_bytes(tmp_path):
     cfg_path = write_config(tmp_path)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -382,6 +389,7 @@ BASE_PARAMS = BASE_CONFIG["params"]
     ("simulate", {"initial": {"kind": "two_temperature", "s_hot": 1e300, "s_cold": 0.1}}, []),
     ("simulate", {"initial": {"kind": "shifted_gaussian", "mean": [0.0, -1e300]}}, []),
     ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "record": ["collision_counts"]}}, []),
+    ("simulate", {"ensemble": {**SMALL_ENSEMBLE, "record": ["energies"]}}, []),
     ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "0"]),
     ("entropy", {"ensemble": SMALL_ENSEMBLE}, ["--workers", "-2"]),
     ("simulate", {"params": {**BASE_PARAMS, "M": 2.5}}, []),
@@ -403,7 +411,7 @@ BASE_PARAMS = BASE_CONFIG["params"]
         "sum-rule-n-0", "sum-rule-n-1", "sum-rule-zero-rates", "lambda-1e300-simulate",
         "lambda-1e300-entropy", "lambda-1e300-envelope", "envelope-t-1e6", "n_traj-1e300",
         "bootstrap-1e300", "s-1e300-simulate", "s-1e300-entropy", "s_hot-1e300", "mean-1e300",
-        "record-collision_counts", "workers-0-simulate", "workers-negative-entropy", "M-fraction",
+        "record-collision_counts", "record-energies", "workers-0-simulate", "workers-negative-entropy", "M-fraction",
         "M-true", "M-string", "N-fraction", "dimension-fraction", "n_hot-fraction", "seed-fraction",
         "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits"])

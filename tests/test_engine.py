@@ -16,7 +16,7 @@ from kacbath.config import build_angle_distribution
 from kacbath.engine import SimulationError, trajectory_rng
 from kacbath.model import THERMAL_VARIANCE
 from tests.conftest import raised_cosine
-from tests.oracles import collide_pair_3d, rotate_pair_1d
+from tests.oracles import collide_pair_3d, gaussian_system_block_reference, rotate_pair_1d
 
 
 def test_time_zero_snapshot_is_exact_initial_sample(params28, uniform_rho):
@@ -139,6 +139,47 @@ def test_two_temperature_variances(params28):
     m0 = init.initial_moments(params28)
     assert m0.m1 == pytest.approx(0.3)
     assert m0.m2 == pytest.approx(THERMAL_VARIANCE)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InitialCondition.gaussian_product(math.nan),
+    lambda: InitialCondition.gaussian_product(0.0),
+    lambda: InitialCondition.two_temperature(1e300, 0.1),
+    lambda: InitialCondition.two_temperature(0.5, -0.1),
+    lambda: InitialCondition.shifted_gaussian([math.inf, 0.0]),
+    lambda: InitialCondition.shifted_gaussian([0.0, 0.0], s=math.nan),
+], ids=["s-nan", "s-zero", "s_hot-1e300", "cold-negative", "mean-inf", "shifted-s-nan"])
+def test_initial_condition_rejects_bad_variances_and_means(build):
+    with pytest.raises(ValueError, match="initial"):
+        build()
+
+
+def test_initial_condition_accepts_the_scale_cap():
+    from kacbath.engine import MAX_INITIAL_SCALE
+
+    init = InitialCondition.two_temperature(MAX_INITIAL_SCALE, 0.1)
+    assert init.s_hot == MAX_INITIAL_SCALE and init.s == 0.1
+    assert InitialCondition.shifted_gaussian([-MAX_INITIAL_SCALE, 0.0]).mean == (-MAX_INITIAL_SCALE, 0.0)
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("kind, law, fields", [
+    ("thermal", {}, {}),
+    ("gaussian_product", {"s": 0.4}, {"s": 0.4}),
+    ("two_temperature", {"s_hot": 0.5, "s_cold": 0.1}, {"s": 0.1, "s_hot": 0.5}),
+    ("two_temperature", {"s_hot": 0.5, "s_cold": 0.1, "n_hot": 0}, {"s": 0.1, "s_hot": 0.5, "n_hot": 0}),
+    ("two_temperature", {"s_hot": 0.5, "s_cold": 0.1, "n_hot": 3}, {"s": 0.1, "s_hot": 0.5, "n_hot": 3}),
+    ("shifted_gaussian", {"mean": [0.8, -0.2, 0.1] * 3, "s": 0.2}, {"mean": [0.8, -0.2, 0.1] * 3, "s": 0.2}),
+], ids=["thermal", "gaussian_product", "two_temperature", "n_hot-0", "n_hot-3", "shifted_gaussian"])
+def test_gaussian_initial_draw_matches_per_kind_formula(kind, law, fields, dimension):
+    """Each constructor is the five-field law it names, and draws the per-kind formula's bits."""
+    p = GeneratorParams(M=3, N=4, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=dimension)
+    law = {key: value[: 3 * dimension] if key == "mean" else value for key, value in law.items()}
+    fields = {key: tuple(law["mean"]) if key == "mean" else value for key, value in fields.items()}
+    init = getattr(InitialCondition, kind)(**law)
+    assert init == InitialCondition(**fields)
+    expected = gaussian_system_block_reference(kind, p, trajectory_rng(71, 0), 257, **law)
+    assert init.sample_system(p, trajectory_rng(71, 0), 257).tobytes() == expected.tobytes()
 
 
 def test_custom_sampler_and_nan_abort(params28, uniform_rho):
@@ -379,6 +420,29 @@ def test_ensemble_spanning_three_chunks_identical_across_workers(dimension, unif
     assert serial.snapshots.tobytes() == parallel.snapshots.tobytes()
     assert serial.counts.tobytes() == parallel.counts.tobytes()
     assert serial.energies.tobytes() == parallel.energies.tobytes()
+
+
+def test_chunks_write_their_own_rows_under_thread_stress(uniform_rho, monkeypatch):
+    """More worker threads than cores, switching often: every chunk's rows equal the serial run's."""
+    import sys
+
+    from kacbath import engine
+
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+    p = GeneratorParams(M=1, N=2, lambda_S=0.0, lambda_R=1.0, mu=1.0)
+    cfg = EnsembleConfig(n_traj=7 * engine._CHUNK + 3, t_grid=(0.0, 0.5), seed=63,
+                         record=("system_velocities", "energies"))
+    init = InitialCondition.gaussian_product(0.3)
+    serial = simulate_ensemble(p, uniform_rho, init, cfg, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = simulate_ensemble(p, uniform_rho, init, cfg, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _ensemble_bytes(serial) == _ensemble_bytes(parallel)
+    assert serial.energies.tobytes() == parallel.energies.tobytes()
+    assert parallel.counts.sum() > 0
 
 
 def _ensemble_bytes(result):

@@ -158,6 +158,12 @@ def test_mc_sum_rule_error_shrinks_with_samples(params24, uniform_rho):
     assert ratio < 0.65  # ~ n^(-1/2): quadrupling samples halves the error
 
 
+@pytest.mark.parametrize("n_words", [0, 1])
+def test_mc_sum_rule_needs_two_words(params24, uniform_rho, rng, n_words):
+    with pytest.raises(ValueError, match="n_words must be >= 2"):
+        mc_sum_rule(2, params24, uniform_rho, n_words, rng)
+
+
 def test_mc_sum_rule_needs_rho_in_dimension_1(params24, rng):
     for k in (0, 2):
         with pytest.raises(ValueError, match="angle distribution is required in dimension 1"):
