@@ -50,7 +50,6 @@ from .moments import (
     sum_rule_constant,
 )
 from .words import (
-    BlockDecomposition,
     SingularSpectrum,
     build_bl_datum,
     decompose,

@@ -53,6 +53,10 @@ class SimulationError(RuntimeError):
     """State became non-finite, or energy drifted, during a trajectory."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one unit of work: Philox keyed by (seed, index)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -81,6 +85,10 @@ class InitialCondition:
     sampler: Callable | None = None
 
     def __post_init__(self):
+        if self.n_hot is not None and not (_is_int(self.n_hot) and self.n_hot >= 0 and self.s_hot is not None):
+            raise ValueError(f"n_hot must be an integer >= 0 and needs s_hot, got n_hot={self.n_hot!r}")
+        if self.sampler is not None and (self.mean, self.s_hot, self.s) != (None, None, THERMAL_VARIANCE):
+            raise ValueError("a custom sampler takes no s, mean, s_hot or n_hot")
         variances = (self.s,) if self.s_hot is None else (self.s, self.s_hot)
         if not all(0 < v <= MAX_INITIAL_SCALE for v in variances):  # also rejects nan
             raise ValueError(f"initial variances must lie in (0, {MAX_INITIAL_SCALE:g}], got {variances}")
@@ -163,8 +171,10 @@ class EnsembleConfig:
     record: tuple[str, ...] = ("system_velocities",)
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be >= 1")
+        if not (_is_int(self.n_traj) and self.n_traj >= 1):
+            raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         grid = np.asarray(self.t_grid, dtype=float)
         if not np.all(np.isfinite(grid)):
             raise ValueError("t_grid must be finite")
@@ -183,7 +193,7 @@ class Trajectory:
     t_grid: np.ndarray
     snapshots: np.ndarray  # (n_times, d*M)
     counts: np.ndarray  # (3,) system/bath/cross collision totals
-    energies: np.ndarray | None = None
+    energies: np.ndarray  # (n_times,) total energy
 
     def __post_init__(self):
         if len(self.snapshots) != len(self.t_grid):
@@ -196,7 +206,6 @@ def simulate_trajectory(
     init: InitialCondition,
     t_grid: Sequence[float],
     rng: np.random.Generator,
-    record_energies: bool = True,
 ) -> Trajectory:
     """Evolve one trajectory, returning system snapshots at the given times.
 
@@ -208,9 +217,9 @@ def simulate_trajectory(
         raise ValueError("t_grid must be nonnegative and strictly increasing")
     snapshots = np.empty((1, len(t_grid), params.dimension * params.M))
     counts = np.zeros((1, 3), dtype=np.int64)
-    energies = np.empty((1, len(t_grid))) if record_energies else None
+    energies = np.empty((1, len(t_grid)))
     _simulate_lockstep(params, rho, init, t_grid, rng, snapshots, counts, energies)
-    return Trajectory(t_grid, snapshots[0], counts[0], energies[0] if record_energies else None)
+    return Trajectory(t_grid, snapshots[0], counts[0], energies[0])
 
 
 def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, snapshots, counts, energies) -> None:

@@ -25,6 +25,8 @@ DEFAULT_K = 4
 DEFAULT_BOOTSTRAP = 50
 BIAS_MARGIN_PER_DIM = 0.02  # empirical kNN bias allowance per dimension, n >= 1e5
 JITTER_SCALE = 1e-12
+HISTOGRAM_BINS = 256
+HISTOGRAM_SPAN_SDS = 6.0  # the histogram covers the mean +- this many standard deviations
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,11 @@ def relative_entropy_to_thermal(
     )
 
 
-def histogram_differential_entropy(
-    samples: np.ndarray, bins: int = 256, span_sds: float = 6.0
-) -> float:
+def histogram_differential_entropy(samples: np.ndarray) -> float:
     """Plug-in histogram estimate for 1-D clouds, as a kNN cross-check."""
     x = np.asarray(samples, dtype=float).ravel()
-    sd = x.std()
-    lo, hi = x.mean() - span_sds * sd, x.mean() + span_sds * sd
-    counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
+    half = HISTOGRAM_SPAN_SDS * x.std()
+    counts, edges = np.histogram(x, bins=HISTOGRAM_BINS, range=(x.mean() - half, x.mean() + half))
     width = edges[1] - edges[0]
     p = counts / counts.sum()
     nz = p > 0
@@ -162,7 +161,6 @@ class DecayCheckRow:
 @dataclass(frozen=True)
 class DecayReport:
     rows: tuple[DecayCheckRow, ...]
-    s0: float
     bias_margin: float
 
     @property
@@ -199,4 +197,4 @@ def decay_check(
                 passed=bool(np.isfinite([est.value, est.std_error]).all() and est.value <= bound),
             )
         )
-    return DecayReport(rows=tuple(rows), s0=s0, bias_margin=bias_margin)
+    return DecayReport(rows=tuple(rows), bias_margin=bias_margin)

@@ -20,6 +20,10 @@ from .quadrature import gaussian_tensor_rule
 MARGIN_TOL = -1e-8
 SENSITIVITY_TOL = 1e-6
 LOG_FLOOR = 1e-300
+DATUM_TOL = 1e-10  # on B B^T = I per map and on the weighted resolution of the identity
+HEAT_FLOW_LIMIT_TIME = 50.0  # flow time whose joint integral stands in for the t -> inf limit
+HEAT_FLOW_SLOPE_TOL = -1e-6  # least secant slope of Phi accepted as nondecreasing
+HEAT_FLOW_LIMIT_REL_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -44,23 +48,21 @@ class TestFunction1D:
         return cls(fn=lambda x: x, positive=False, label="x")
 
     @classmethod
-    def gaussian_bump(cls, a: float, center: float = 0.0, scale: float = 1.0) -> "TestFunction1D":
-        if a <= 0 or scale <= 0:
-            raise ValueError("bump needs a > 0 and scale > 0")
+    def gaussian_bump(cls, a: float, center: float = 0.0) -> "TestFunction1D":
+        if a <= 0:
+            raise ValueError("bump needs a > 0")
         return cls(
-            fn=lambda x: scale * np.exp(-a * (x - center) ** 2),
+            fn=lambda x: np.exp(-a * (x - center) ** 2),
             positive=True,
             label=f"bump(a={a},c={center})",
         )
 
     @classmethod
-    def polynomial_bump(cls, coeffs: Sequence[float], floor: float = 0.1) -> "TestFunction1D":
-        """floor + p(x)^2: strictly positive, polynomially bounded."""
-        if floor <= 0:
-            raise ValueError("floor must be positive")
+    def polynomial_bump(cls, coeffs: Sequence[float]) -> "TestFunction1D":
+        """0.1 + p(x)^2: strictly positive, polynomially bounded."""
         poly = np.polynomial.Polynomial(list(coeffs))
         return cls(
-            fn=lambda x: floor + poly(x) ** 2,
+            fn=lambda x: 0.1 + poly(x) ** 2,
             positive=True,
             label=f"polybump{tuple(coeffs)}",
         )
@@ -175,15 +177,15 @@ class BLDatum:
             acc += c * b.T @ b
         return float(np.max(np.abs(acc - np.eye(m))))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         for b in self.maps:
             d = b.shape[0]
-            if d and np.max(np.abs(b @ b.T - np.eye(d))) > tol:
+            if d and np.max(np.abs(b @ b.T - np.eye(d))) > DATUM_TOL:
                 raise ValueError("a map fails B B^T = I on its range")
         defect = self.identity_defect()
-        if defect > tol:
+        if defect > DATUM_TOL:
             raise ValueError(f"weighted maps miss the identity by {defect!r}")
 
 
@@ -321,7 +323,6 @@ def _joint_integral(datum: BLDatum, factors: Sequence[HeatFlowFunction]) -> floa
 
 @dataclass(frozen=True)
 class HeatFlowResult:
-    t_grid: np.ndarray
     lhs: np.ndarray
     finite_differences: np.ndarray
     rhs: float
@@ -334,15 +335,13 @@ def heat_flow_monotonicity_check(
     datum: BLDatum,
     functions: Sequence[HeatFlowFunction],
     t_grid: Sequence[float],
-    limit_time: float = 50.0,
-    derivative_tol: float = -1e-6,
-    limit_rel_tol: float = 0.02,
 ) -> HeatFlowResult:
     """Transport the marginal factors by heat flow and track the joint integral.
 
     The unweighted joint integral, exact at each flow time, must be
-    nondecreasing on the grid (its secant slopes stay above `derivative_tol`)
-    and approach the product of the (flow-invariant) marginal masses.
+    nondecreasing on the grid (its secant slopes stay above HEAT_FLOW_SLOPE_TOL)
+    and, at HEAT_FLOW_LIMIT_TIME, be within HEAT_FLOW_LIMIT_REL_TOL of the
+    product of the (flow-invariant) marginal masses.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if np.any(t_grid <= 0):
@@ -352,18 +351,17 @@ def heat_flow_monotonicity_check(
     )
     phi = np.array([
         _joint_integral(datum, [heat_evolve(f, d, t) for f, d in zip(functions, datum.dims)])
-        for t in (*t_grid, limit_time)
+        for t in (*t_grid, HEAT_FLOW_LIMIT_TIME)
     ])
     fd = np.diff(phi[:-1]) / np.diff(t_grid)
     rel_err = abs(phi[-1] - rhs) / abs(rhs)
     return HeatFlowResult(
-        t_grid=t_grid,
         lhs=phi[:-1],
         finite_differences=fd,
         rhs=rhs,
         limit_value=float(phi[-1]),
         limit_relative_error=rel_err,
-        passed=bool(np.all(fd >= derivative_tol) and rel_err <= limit_rel_tol),
+        passed=bool(np.all(fd >= HEAT_FLOW_SLOPE_TOL) and rel_err <= HEAT_FLOW_LIMIT_REL_TOL),
     )
 
 

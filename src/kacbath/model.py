@@ -27,6 +27,7 @@ KIND_CROSS = "cross"
 KINDS = (KIND_SYSTEM, KIND_RESERVOIR, KIND_CROSS)
 
 CDF_KNOTS = 2 ** 16  # inverse-CDF table resolution for continuous angle laws
+DENSITY_SEGMENTS = 1024  # quadrature segments on [-pi, pi] for a callable density
 
 
 class InvalidDistributionError(ValueError):
@@ -189,8 +190,8 @@ class AngleDistribution:
         return cls.atoms([(math.pi / 2, 0.5), (-math.pi / 2, 0.5)])
 
     @classmethod
-    def from_density(cls, fn: Callable[[np.ndarray], np.ndarray], segments: int = 1024) -> "AngleDistribution":
-        edges = np.linspace(-math.pi, math.pi, segments + 1)
+    def from_density(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "AngleDistribution":
+        edges = np.linspace(-math.pi, math.pi, DENSITY_SEGMENTS + 1)
         return cls(kind="density", density=fn, _segments=edges)
 
     @classmethod

@@ -27,7 +27,7 @@ class MomentPair:
     m2: float
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
+        if not (self.m1 >= 0 and self.m2 >= 0):  # also rejects nan
             raise ValueError("second moments must be nonnegative")
 
 
@@ -70,9 +70,13 @@ class DecayEnvelope:
     def __call__(self, t: float) -> float:
         if self.weight_bath < self.weight_system:
             warnings.warn("envelope derived under N >= M; evaluating it anyway", stacklevel=2)
-        if t < 0:
+        return self.weight_system + self.weight_bath * self.gap_decay(t)
+
+    def gap_decay(self, t: float) -> float:
+        """Factor exp(-rate * t) on m1 - m2 after time t; 1 at zero rate, t = inf included."""
+        if not t >= 0:  # also rejects nan
             raise ValueError("t must be nonnegative")
-        return self.weight_system + self.weight_bath * math.exp(-self.rate * t)
+        return math.exp(-self.rate * t) if self.rate > 0.0 else 1.0
 
 
 def sum_rule_constant(k: int, params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
@@ -101,19 +105,14 @@ def _log_poisson_mode(lam_t: float, m: int) -> float:
     return m * (math.log1p(delta) - delta) - 0.5 * math.log(2.0 * math.pi * m) - series
 
 
-def envelope_poisson_sum(
-    t: float,
-    params: GeneratorParams,
-    rho: AngleDistribution | None = None,
-    tail: float = POISSON_TAIL,
-) -> float:
+def envelope_poisson_sum(t: float, params: GeneratorParams, rho: AngleDistribution | None = None) -> float:
     """Envelope as the Poisson-weighted sum of per-jump contraction factors.
 
     The Poisson weights start at the mode m = floor(lam_t) and follow the ratios
     p_(k+1) = p_k lam_t/(k+1) upward and p_(k-1) = p_k k/lam_t downward.  Away from
     the mode the ratios only shrink, so the mass beyond a term p with ratio r < 1
-    is below p r/(1 - r); each side stops once that bound is below tail/2.  Since
-    each factor lies in [-1, 1], the truncation error is below `tail`.
+    is below p r/(1 - r); each side stops once that bound is below POISSON_TAIL/2.
+    Since each factor lies in [-1, 1], the truncation error is below POISSON_TAIL.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
@@ -128,7 +127,7 @@ def envelope_poisson_sum(
         p, k = p_mode, m
         while k + step >= 0:
             ratio = lam_t / (k + 1) if step > 0 else k / lam_t
-            if p * ratio <= 0.5 * tail * (1.0 - ratio):  # never at ratio 1, the mode's own
+            if p * ratio <= 0.5 * POISSON_TAIL * (1.0 - ratio):  # never at ratio 1, the mode's own
                 break
             p *= ratio
             k += step
@@ -147,11 +146,9 @@ def propagate_moments(
     M*m1 + N*m2 is conserved; the gap m1 - m2 decays exponentially at the
     envelope rate.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     M, N = params.M, params.N
     a, b = m0.m1, m0.m2
-    decay = math.exp(-DecayEnvelope.from_params(params, rho).rate * t)
+    decay = DecayEnvelope.from_params(params, rho).gap_decay(t)
     center = (M * a + N * b) / (M + N)
     # convex-combination form: exact at t = 0 and nonnegative in floats
     m1 = a * decay + center * (1.0 - decay)

@@ -19,7 +19,12 @@ from .model import AngleDistribution, GeneratorParams
 from .words import build_bl_datum
 
 NELSON_TIMES = (0.1, 0.5, 2.0)
+NELSON_ORDER = 64
+BL_ORDER = 20
+BL_SEED = 2024
 HEAT_FLOW_TIMES = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0)
+HEAT_FLOW_SEED = 7
+SPHERE_RULE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,12 @@ def standard_bl_data() -> list[tuple[str, GeneratorParams, BLDatum]]:
     ]
 
 
-def run_nelson_suite(times=NELSON_TIMES, order: int = 64) -> dict:
+def run_nelson_suite() -> dict:
     margins = []
     inconclusive = 0
     for h in nelson_fixture_suite():
-        for t in times:
-            check = entropic_nelson_check(h, t, order=order)
+        for t in NELSON_TIMES:
+            check = entropic_nelson_check(h, t, order=NELSON_ORDER)
             margins.append(check.margin)
             inconclusive += int(check.inconclusive)
     return {
@@ -88,18 +93,17 @@ def run_nelson_suite(times=NELSON_TIMES, order: int = 64) -> dict:
     }
 
 
-def run_bl_suite(order: int = 20, seed: int = 2024) -> dict:
+def run_bl_suite() -> dict:
     bl_margins = []
     dual_margins = []
     inconclusive = 0
     for label, params, datum in standard_bl_data():
-        rng = np.random.default_rng(seed)
-        funcs = random_positive_polynomials(datum, rng)
-        check = bl_inequality_check(datum, funcs, order=order)
+        funcs = random_positive_polynomials(datum, np.random.default_rng(BL_SEED))
+        check = bl_inequality_check(datum, funcs, order=BL_ORDER)
         bl_margins.append(check.margin)
         inconclusive += int(check.inconclusive)
         h = HeatFlowFunction.gaussian(1.2, center=np.full(datum.ambient_dim, 0.2))
-        dual = entropy_dual_check(datum, funcs, h, order=order)
+        dual = entropy_dual_check(datum, funcs, h, order=BL_ORDER)
         dual_margins.append(dual.margin)
         inconclusive += int(dual.inconclusive)
     return {
@@ -113,12 +117,11 @@ def run_bl_suite(order: int = 20, seed: int = 2024) -> dict:
     }
 
 
-def run_heat_flow_suite(t_grid=HEAT_FLOW_TIMES, order: int = 40, seed: int = 7) -> dict:
+def run_heat_flow_suite(t_grid=HEAT_FLOW_TIMES, order: int = 40) -> dict:
     # `order` does nothing now that Phi(t) is a closed form; bench/tracing.py::heat_flow_counts reads its default.
     results = []
     for label, params, datum in standard_bl_data():
-        rng = np.random.default_rng(seed)
-        funcs = gaussian_heat_functions(datum, rng)
+        funcs = gaussian_heat_functions(datum, np.random.default_rng(HEAT_FLOW_SEED))
         results.append((label, heat_flow_monotonicity_check(datum, funcs, t_grid)))
     # k0_dim2's Phi is flat, so the overall minimum is its rounding; the per-datum minima show the rest
     slopes = {label: float(r.finite_differences.min()) for label, r in results}
@@ -164,7 +167,7 @@ def angle_measure_report(measure: DiscreteAngleMeasure, tol: float = 1e-12) -> d
     return report
 
 
-def sphere_rule_report(rule: SphereQuadrature, tol: float = 1e-12) -> dict:
+def sphere_rule_report(rule: SphereQuadrature) -> dict:
     second = rule.second_moment()
     report = {
         "L": rule.polar_order,
@@ -175,8 +178,8 @@ def sphere_rule_report(rule: SphereQuadrature, tol: float = 1e-12) -> dict:
         "min_weight": float(rule.weights.min()),
     }
     report["pass"] = bool(
-        report["mass_error"] <= tol
-        and report["second_moment_max_dev"] <= tol
+        report["mass_error"] <= SPHERE_RULE_TOL
+        and report["second_moment_max_dev"] <= SPHERE_RULE_TOL
         and report["min_weight"] > 0.0
     )
     return report

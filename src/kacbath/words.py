@@ -30,17 +30,9 @@ from .model import (
 from .moments import sum_rule_constant
 
 GAMMA_CLAMP = 1e-10
+MAX_BL_TERMS = 10 ** 6  # cap on the (word, subset) terms build_bl_datum enumerates
+_DRAW_WORDS = 20000  # words mc_sum_rule draws at once; part of the random stream, as engine._CHUNK is
 _SLICE_WORDS = 1024  # words mc_sum_rule realizes at once: 1.5 MB in d=3 (2,8), within a 2 MB L2
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """System/bath blocks of the inverse word matrix."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -93,17 +85,14 @@ def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, 
     return w
 
 
-def decompose(inv: np.ndarray, dm: int) -> tuple[BlockDecomposition, SingularSpectrum]:
-    """Split an inverse word matrix at the dm = d*M system coordinates into blocks and
-    decompose the system block."""
-    blocks = BlockDecomposition(
-        a=inv[:dm, :dm], b=inv[:dm, dm:], c=inv[dm:, :dm], d=inv[dm:, dm:]
-    )
-    u, gammas, vt = np.linalg.svd(blocks.a)
+def decompose(inv: np.ndarray, dm: int) -> SingularSpectrum:
+    """Singular spectrum of the system block A = inv[:dm, :dm] of an inverse word matrix,
+    dm = d*M being the number of system coordinates."""
+    u, gammas, vt = np.linalg.svd(inv[:dm, :dm])
     if np.any(gammas > 1.0 + GAMMA_CLAMP):
         raise ValueError(f"singular value {gammas.max()!r} above 1 beyond clamp tolerance")
     gammas = np.clip(gammas, 0.0, 1.0)
-    return blocks, SingularSpectrum(gammas=gammas, u=u, vt=vt)
+    return SingularSpectrum(gammas=gammas, u=u, vt=vt)
 
 
 def sigma_subset_weights(gammas: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -130,8 +119,6 @@ def sigma_subset_weights(gammas: np.ndarray) -> tuple[list[tuple[int, ...]], np.
 class SumRuleEstimate:
     """Monte Carlo average of A A^T against its predicted multiple of the identity."""
 
-    k: int
-    n_words: int
     z_hat: np.ndarray
     std_error: np.ndarray
     predicted: float
@@ -146,11 +133,10 @@ def mc_sum_rule(
     rho: AngleDistribution | None,
     n_words: int,
     rng: np.random.Generator,
-    chunk: int = 20000,
 ) -> SumRuleEstimate:
     """Estimate E[A A^T] over random words and compare with the sum-rule constant.
 
-    Words are drawn `chunk` at a time and realized _SLICE_WORDS at a time, carrying
+    Words are drawn _DRAW_WORDS at a time and realized _SLICE_WORDS at a time, carrying
     only the d*M system columns: the outputs are those of the full matrices, bit for bit.
     """
     if n_words < 2:
@@ -162,7 +148,7 @@ def mc_sum_rule(
     total_sq = np.zeros((dm, dm))
     done = 0
     while done < n_words:
-        b = min(chunk, n_words - done)
+        b = min(_DRAW_WORDS, n_words - done)
         aat = _word_products(k, params, rho, rng, b)
         total += aat.sum(axis=0)
         total_sq += np.square(aat, out=aat).sum(axis=0)
@@ -177,8 +163,6 @@ def mc_sum_rule(
     off = np.abs(z_hat - np.diag(np.diag(z_hat)))
     passed = bool(np.all(dev <= 4.0 * se + 1e-15))
     return SumRuleEstimate(
-        k=k,
-        n_words=n_words,
         z_hat=z_hat,
         std_error=se,
         predicted=predicted,
@@ -220,13 +204,7 @@ def _atomic_parameters(measure) -> tuple[list, np.ndarray, int]:
     raise TypeError("need an atomic angle law (a discrete angle measure's .law) or a sphere rule")
 
 
-def build_bl_datum(
-    k: int,
-    params: GeneratorParams,
-    measure,
-    max_terms: int = 10 ** 6,
-    tol: float = 1e-10,
-) -> BLDatum:
+def build_bl_datum(k: int, params: GeneratorParams, measure) -> BLDatum:
     """Enumerate the weighted projections generated by words of length k.
 
     Every (word, subset) contributes the map P_(sigma^c) U^T with weight
@@ -243,8 +221,8 @@ def build_bl_datum(
         if params.pair_weight(i, j) > 0.0
     ]
     n_terms = (len(pair_list) * len(atoms)) ** k * 2 ** dm
-    if n_terms > max_terms:
-        raise ValueError(f"enumeration would produce {n_terms} terms (limit {max_terms})")
+    if n_terms > MAX_BL_TERMS:
+        raise ValueError(f"enumeration would produce {n_terms} terms (limit {MAX_BL_TERMS})")
     c_km = sum_rule_constant(k, params, measure if d == 1 else None)
     maps: list[np.ndarray] = []
     weights: list[float] = []
@@ -259,7 +237,7 @@ def build_bl_datum(
             param = np.array([[atoms[a] for a in atom_choice]], dtype=float)
             param = param.reshape((1, k) if d == 1 else (1, k, 3))
             inv = _realize_inverse(i0, j0, param, n, d)[:, :, 0]
-            _, spectrum = decompose(inv, dm)
+            spectrum = decompose(inv, dm)
             subsets, subset_w = sigma_subset_weights(spectrum.gammas)
             for sigma, sw in zip(subsets, subset_w):
                 c = w_word * sw / c_km
@@ -269,5 +247,5 @@ def build_bl_datum(
                 maps.append(spectrum.u.T[keep, :])
                 weights.append(c)
     datum = BLDatum(maps=maps, weights=np.array(weights))
-    datum.validate(tol=tol)
+    datum.validate()
     return datum

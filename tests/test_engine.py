@@ -162,6 +162,32 @@ def test_initial_condition_accepts_the_scale_cap():
     assert InitialCondition.shifted_gaussian([-MAX_INITIAL_SCALE, 0.0]).mean == (-MAX_INITIAL_SCALE, 0.0)
 
 
+def _zero_block(params, rng):
+    return np.zeros(params.dimension * params.M)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_hot": 2},
+    {"s_hot": 1.0, "n_hot": 1.5},
+    {"s_hot": 1.0, "n_hot": True},
+    {"s_hot": 1.0, "n_hot": -1},
+    {"sampler": _zero_block, "s_hot": 3.0, "mean": (1.0, 1.0)},
+    {"sampler": _zero_block, "mean": (0.0, 0.0)},
+    {"sampler": _zero_block, "s": 0.4},
+    {"sampler": _zero_block, "n_hot": 1},
+], ids=["n_hot-without-s_hot", "n_hot-fraction", "n_hot-bool", "n_hot-negative",
+        "sampler-with-s_hot-and-mean", "sampler-with-mean", "sampler-with-s", "sampler-with-n_hot"])
+def test_initial_condition_rejects_fields_its_law_ignores(fields):
+    with pytest.raises(ValueError, match="n_hot|sampler"):
+        InitialCondition(**fields)
+
+
+def test_initial_condition_keeps_valid_n_hot_and_sampler(params28):
+    assert InitialCondition(s_hot=1.0, n_hot=np.int64(1)).system_variances(params28).tolist() == [1.0, THERMAL_VARIANCE]
+    init = InitialCondition.custom(_zero_block)
+    assert np.array_equal(init.sample_system(params28, trajectory_rng(1, 0)), np.zeros(2))
+
+
 @pytest.mark.parametrize("dimension", [1, 3])
 @pytest.mark.parametrize("kind, law, fields", [
     ("thermal", {}, {}),
@@ -208,6 +234,19 @@ def test_ensemble_config_validation():
         EnsembleConfig(n_traj=5, t_grid=(0.0, 1.0, 1.0), seed=1)
     with pytest.raises(ValueError):
         EnsembleConfig(n_traj=5, t_grid=(0.0, 1.0), seed=1, record=("nonsense",))
+
+
+@pytest.mark.parametrize("n_traj", [2.5, True, 3.0])
+def test_ensemble_config_needs_an_integer_n_traj(n_traj):
+    with pytest.raises(ValueError, match="n_traj"):
+        EnsembleConfig(n_traj=n_traj, t_grid=(0.0, 1.0), seed=1)
+    assert EnsembleConfig(n_traj=np.int64(3), t_grid=(0.0, 1.0), seed=1).n_traj == 3
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "7"])
+def test_ensemble_config_needs_an_integer_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        EnsembleConfig(n_traj=3, t_grid=(0.0, 1.0), seed=seed)
 
 
 def test_trajectory_accessors(params28, uniform_rho):

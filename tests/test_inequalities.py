@@ -14,6 +14,7 @@ from kacbath import (
     ou_apply,
 )
 from kacbath.inequalities import (
+    HEAT_FLOW_LIMIT_TIME,
     entropy_functional_1d,
     gaussian_integral_1d,
     _lebesgue_marginal_integral,
@@ -255,9 +256,8 @@ def _tensor_joint_integral(datum, evolved, order=40):
 def test_heat_flow_closed_form_matches_tensor_quadrature():
     for label, _, datum in standard_bl_data():
         funcs = gaussian_heat_functions(datum, np.random.default_rng(7))
-        limit_time = 50.0
-        res = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES, limit_time=limit_time)
-        for t, phi in zip((*HEAT_FLOW_TIMES, limit_time), (*res.lhs, res.limit_value)):
+        res = heat_flow_monotonicity_check(datum, funcs, HEAT_FLOW_TIMES)
+        for t, phi in zip((*HEAT_FLOW_TIMES, HEAT_FLOW_LIMIT_TIME), (*res.lhs, res.limit_value)):
             evolved = [heat_evolve(f, b.shape[0], t) for f, b in zip(funcs, datum.maps)]
             reference = _tensor_joint_integral(datum, evolved)
             assert phi == pytest.approx(reference, rel=1e-12), (label, t)

@@ -223,3 +223,24 @@ def test_fit_decay_rate_recovers_exact_exponential():
 def test_moment_pair_validation():
     with pytest.raises(ValueError):
         MomentPair(-0.1, 0.5)
+
+
+def test_nan_time_and_moments_raise(params28, uniform_rho):
+    for call in (lambda: envelope(math.nan, params28, uniform_rho),
+                 lambda: DecayEnvelope.from_params(params28, uniform_rho)(math.nan),
+                 lambda: propagate_moments(MomentPair(0.3, 0.16), math.nan, params28, uniform_rho),
+                 lambda: MomentPair(math.nan, 0.16),
+                 lambda: MomentPair(0.3, math.nan)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+    # +inf stays accepted: both limits are defined
+    assert envelope(math.inf, params28, uniform_rho) == pytest.approx(2 / 10)
+    limit = propagate_moments(MomentPair(0.3, 0.16), math.inf, params28, uniform_rho)
+    assert limit.m1 == limit.m2 == pytest.approx((2 * 0.3 + 8 * 0.16) / 10)
+
+
+def test_zero_rate_keeps_its_start_at_infinite_time(uniform_rho):
+    # rate 0 times t = inf is nan; with no coupling the gap never decays
+    p = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=0.0)
+    assert envelope(math.inf, p, uniform_rho) == 1.0
+    assert propagate_moments(MomentPair(0.3, 0.16), math.inf, p, uniform_rho) == MomentPair(0.3, 0.16)
