@@ -42,12 +42,18 @@ def _integer(value, minimum: float, where: str, maximum: float = math.inf) -> in
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A JSON number, an integer or a float but not a boolean, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _times(value, where: str) -> list[float]:
     """A non-empty JSON list of numbers, as floats."""
-    if not (isinstance(value, list) and value
-            and all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in value)):
+    if not (isinstance(value, list) and value):
         raise ConfigError(f"{where} must be a non-empty list of numbers, got {value!r}")
-    return [float(t) for t in value]
+    return [_number(t, where) for t in value]
 
 
 def build_params(section: dict) -> GeneratorParams:
@@ -70,9 +76,9 @@ def build_params(section: dict) -> GeneratorParams:
         return GeneratorParams(
             M=M,
             N=N,
-            lambda_S=float(section.get("lambda_S", 0.0)),
-            lambda_R=float(section.get("lambda_R", 0.0)),
-            mu=float(section.get("mu", 0.0)),
+            lambda_S=_number(section.get("lambda_S", 0.0), "params.lambda_S"),
+            lambda_R=_number(section.get("lambda_R", 0.0), "params.lambda_R"),
+            mu=_number(section.get("mu", 0.0), "params.mu"),
             dimension=dimension,
         )
     except (TypeError, ValueError) as exc:
@@ -89,10 +95,12 @@ def build_angle_distribution(section: dict) -> AngleDistribution:
             return AngleDistribution.uniform()
         if kind == "atoms":
             _require_keys(section, {"type", "atoms"}, {"type", "atoms"}, "rho")
-            return AngleDistribution.atoms([(float(t), float(p)) for t, p in section["atoms"]])
+            return AngleDistribution.atoms([(_number(t, "rho.atoms angle"), _number(p, "rho.atoms weight"))
+                                            for t, p in section["atoms"]])
         if kind == "density_table":
             _require_keys(section, {"type", "thetas", "values"}, {"type", "thetas", "values"}, "rho")
-            return AngleDistribution.from_table(section["thetas"], section["values"])
+            return AngleDistribution.from_table([_number(t, "rho.thetas") for t in section["thetas"]],
+                                                [_number(v, "rho.values") for v in section["values"]])
     except InvalidDistributionError as exc:
         raise ConfigError(f"invalid rho: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -110,18 +118,18 @@ def build_initial(section: dict) -> InitialCondition:
             return InitialCondition.thermal()
         if kind == "gaussian_product":
             _require_keys(section, {"kind", "s"}, {"kind", "s"}, "initial")
-            return InitialCondition.gaussian_product(float(section["s"]))
+            return InitialCondition.gaussian_product(_number(section["s"], "initial.s"))
         if kind == "two_temperature":
             _require_keys(section, {"kind", "s_hot", "s_cold", "n_hot"}, {"kind", "s_hot", "s_cold"}, "initial")
             n_hot = section.get("n_hot")
             return InitialCondition.two_temperature(
-                float(section["s_hot"]), float(section["s_cold"]),
+                _number(section["s_hot"], "initial.s_hot"), _number(section["s_cold"], "initial.s_cold"),
                 None if n_hot is None else _integer(n_hot, 0, "initial.n_hot"),
             )
         if kind == "shifted_gaussian":
             _require_keys(section, {"kind", "mean", "s"}, {"kind", "mean"}, "initial")
-            mean = [float(x) for x in section["mean"]]
-            s = float(section.get("s", THERMAL_VARIANCE))
+            mean = [_number(x, "initial.mean") for x in section["mean"]]
+            s = _number(section.get("s", THERMAL_VARIANCE), "initial.s")
             return InitialCondition.shifted_gaussian(mean, s)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid initial: {exc}") from exc

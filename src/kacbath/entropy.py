@@ -123,8 +123,12 @@ def relative_entropy_to_thermal(
 def histogram_differential_entropy(samples: np.ndarray) -> float:
     """Plug-in histogram estimate for 1-D clouds, as a kNN cross-check."""
     x = np.asarray(samples, dtype=float).ravel()
-    half = HISTOGRAM_SPAN_SDS * x.std()
-    counts, edges = np.histogram(x, bins=HISTOGRAM_BINS, range=(x.mean() - half, x.mean() + half))
+    if not (x.size and np.isfinite(x).all()):
+        raise ValueError("the histogram estimate needs a non-empty cloud of finite values")
+    mean, half = x.mean(), HISTOGRAM_SPAN_SDS * x.std()
+    if not mean - half < mean + half:
+        raise ValueError("the cloud has zero spread: a point mass has entropy -inf")
+    counts, edges = np.histogram(x, bins=HISTOGRAM_BINS, range=(mean - half, mean + half))
     width = edges[1] - edges[0]
     p = counts / counts.sum()
     nz = p > 0

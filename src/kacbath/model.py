@@ -28,6 +28,7 @@ KINDS = (KIND_SYSTEM, KIND_RESERVOIR, KIND_CROSS)
 
 CDF_KNOTS = 2 ** 16  # inverse-CDF table resolution for continuous angle laws
 DENSITY_SEGMENTS = 1024  # quadrature segments on [-pi, pi] for a callable density
+_SPHERE_ROWS = 8192  # rows uniform_sphere draws and normalizes at once; the stream does not depend on it
 
 
 class InvalidDistributionError(ValueError):
@@ -313,19 +314,39 @@ def collide(z: np.ndarray, lanes: np.ndarray, i: np.ndarray, j: np.ndarray, para
 
 
 def uniform_sphere(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform points on the unit sphere, shape (size, 3)."""
-    x = rng.normal(size=(size, 3))
-    sq = np.empty(size)  # the one temporary of the norm (x0^2 + x1^2) + x2^2, np.linalg.norm's order
-    while True:
-        norms = np.multiply(x[:, 0], x[:, 0])
-        norms += np.multiply(x[:, 1], x[:, 1], out=sq)
-        norms += np.multiply(x[:, 2], x[:, 2], out=sq)
-        np.sqrt(norms, out=norms)
-        bad = norms < 1e-12
-        if not bad.any():
-            x /= norms[:, None]
-            return x
-        x[bad] = rng.normal(size=(int(bad.sum()), 3))
+    """Uniform points on the unit sphere, shape (size, 3).
+
+    The normals are drawn and normalized _SPHERE_ROWS rows at a time, in row order, so the
+    stream is that of one (size, 3) draw; rows too short to normalize are then redrawn all
+    at once, in index order, until none is left."""
+    x = np.empty((size, 3))
+    short = [np.empty(0, np.intp)]
+    for s in range(0, size, _SPHERE_ROWS):
+        block = x[s:s + _SPHERE_ROWS]
+        block[...] = rng.normal(size=block.shape)
+        short.append(s + np.flatnonzero(_normalize_rows(block)))
+    redo = np.concatenate(short)
+    while redo.size:
+        fresh = rng.normal(size=(redo.size, 3))
+        still_short = _normalize_rows(fresh)
+        x[redo] = fresh
+        redo = redo[still_short]
+    return x
+
+
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Divide the rows of x, shape (n, 3), in place by their norms (x0^2 + x1^2) + x2^2
+    (np.linalg.norm's order), except rows with norm below 1e-12; return the mask of those."""
+    norms = np.multiply(x[:, 0], x[:, 0])
+    sq = np.multiply(x[:, 1], x[:, 1])
+    norms += sq
+    norms += np.multiply(x[:, 2], x[:, 2], out=sq)
+    np.sqrt(norms, out=norms)
+    short = norms < 1e-12
+    if short.any():
+        norms[short] = 1.0  # left for the redraw
+    x /= norms[:, None]
+    return short
 
 
 def sample_pair_kinds(params: GeneratorParams, rng: np.random.Generator, size: int) -> np.ndarray:

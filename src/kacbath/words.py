@@ -7,9 +7,12 @@ the bath.  This module realizes words given as pair and parameter arrays
 Monte Carlo-estimates the averaged sum rule E[A A^T] = c_k I, and enumerates
 the weighted projection data that satisfy the geometric sum rule exactly.
 A batch of words is realized batch-last, as `model.collide` takes it: one
-(d*n, cols, B) array with one lane per word; callers transpose only the rows
-they use.  At k=8 the sum rule's numpy allocations peak at about 32 bytes per
-drawn collision in d=1 (M,N)=(2,4) and 65 in d=3 (1,2), most of it the draw.
+(d*n, cols, B) array with one lane per word.  The sum rule forms A A^T on that
+layout, one column of A at a time over all words, in the pairing of numpy's
+batched product so that its bits are kept (`_gram_batch_last`).  At k=8, with
+20000 words drawn at a time, the sum rule's numpy allocations peak at about 32
+bytes per drawn collision in d=1 (M,N)=(2,4) and 56 in d=3 (1,2), most of it
+the draw.
 """
 from __future__ import annotations
 
@@ -71,8 +74,11 @@ def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, 
     i0 = np.atleast_2d(i0)
     j0 = np.atleast_2d(j0)
     batch, k = i0.shape
-    if d == 1:  # the inverse of a word rotates each of its pairs back by theta
-        param = np.stack([np.cos(param).T, -np.sin(param).T], axis=1)
+    if d == 1:  # the inverse of a word rotates each of its pairs back by theta: (cos, -sin)
+        angles = param.T
+        param = np.empty((k, 2, batch))
+        np.cos(angles, out=param[:, 0])
+        np.negative(np.sin(angles, out=param[:, 1]), out=param[:, 1])
     else:
         param = np.ascontiguousarray(param.transpose(1, 2, 0))
     cols = cols or d * n
@@ -190,9 +196,23 @@ def _word_products(k: int, params: GeneratorParams, rho: AngleDistribution | Non
     for s in range(0, b, _SLICE_WORDS):
         sl = slice(s, s + _SLICE_WORDS)
         w = _realize_inverse(i0[sl], j0[sl], param[sl], n, d, dm)
-        a = np.ascontiguousarray(w[:dm].transpose(2, 0, 1))
-        np.einsum("bij,bkj->bik", a, a, out=out[sl])
+        _gram_batch_last(w[:dm], out[sl])
     return out
+
+
+def _gram_batch_last(a: np.ndarray, out: np.ndarray) -> None:
+    """A A^T of the batch-last system blocks a, shape (dm, dm, B), written into out, (B, dm, dm).
+
+    The sum over j runs in two running sums from 0.0, one over even and one over odd j,
+    added at the end.  numpy's batched product of (B, dm, dm) blocks pairs a sum of 1 to 7
+    terms that way, one running sum per lane of its 128-bit baseline vector, so for
+    dm <= 7 the bits are its bits, signed zeros included.  From dm = 8 numpy unrolls
+    wider, and the last bits may differ."""
+    dm, _, batch = a.shape
+    lanes = np.zeros((2, dm, dm, batch))
+    for j in range(dm):
+        lanes[j % 2] += a[:, j, None, :] * a[None, :, j, :]
+    np.add(lanes[0], lanes[1], out=out.transpose(1, 2, 0))
 
 
 def _atomic_parameters(measure) -> tuple[list, np.ndarray, int]:

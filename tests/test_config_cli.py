@@ -356,6 +356,7 @@ NAN, INF = float("nan"), float("inf")
 SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
 HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dimension": 1}
 BASE_PARAMS = BASE_CONFIG["params"]
+TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform law
 
 
 @pytest.mark.parametrize("command, overrides, extra", [
@@ -405,6 +406,12 @@ BASE_PARAMS = BASE_CONFIG["params"]
     ("envelope", {"envelope": {"t_grid": [0, 10 ** 400]}}, []),
     ("simulate", {"params": {**BASE_PARAMS, "M": 10 ** 400}, "initial": None}, []),
     ("simulate", {"params": {**BASE_PARAMS, "lambda_S": 10 ** 400}}, []),
+    ("envelope", {"params": {**BASE_PARAMS, "lambda_R": True}}, []),
+    ("envelope", {"params": {**BASE_PARAMS, "lambda_S": "1"}}, []),
+    ("envelope", {"initial": {"kind": "gaussian_product", "s": "0.3"}}, []),
+    ("envelope", {"rho": {"type": "atoms", "atoms": [["1.5707963267948966", "0.5"], [-1.5707963267948966, 0.5]]}}, []),
+    ("envelope", {"rho": {"type": "density_table", "thetas": ["-1", "1"], "values": [TABLE_DENSITY, TABLE_DENSITY]}}, []),
+    ("envelope", {"initial": {"kind": "shifted_gaussian", "mean": ["0.1", 0.0]}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -414,7 +421,8 @@ BASE_PARAMS = BASE_CONFIG["params"]
         "record-collision_counts", "record-energies", "workers-0-simulate", "workers-negative-entropy", "M-fraction",
         "M-true", "M-string", "N-fraction", "dimension-fraction", "n_hot-fraction", "seed-fraction",
         "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
-        "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits"])
+        "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
+        "s-string", "atom-string", "table-string", "mean-string"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]

@@ -122,6 +122,15 @@ def test_histogram_cross_check_1d():
     assert abs(h_hist - gaussian_entropy(1, 0.49)) < 0.02
 
 
+@pytest.mark.parametrize("cloud", [np.ones(10), np.full(7, -2.5), np.array([0.3, math.nan, 1.0]),
+                                   np.array([0.3, math.inf, 1.0]), np.empty(0)],
+                         ids=["ones", "constant", "nan", "inf", "empty"])
+def test_histogram_rejects_point_masses_and_non_finite_clouds(cloud):
+    # a point mass has entropy -inf: no finite number may stand for it
+    with pytest.raises(ValueError):
+        histogram_differential_entropy(cloud)
+
+
 def test_sample_cloud_validation():
     with pytest.raises(ValueError):
         relative_entropy_to_thermal(np.zeros((1, 2)))

@@ -14,6 +14,7 @@ from kacbath import (
 )
 from kacbath.engine import trajectory_rng
 from kacbath.model import (
+    _SPHERE_ROWS,
     InvalidDistributionError,
     sample_collisions,
     sample_pair_kinds,
@@ -335,10 +336,42 @@ def test_sample_collisions_needs_rho_in_dimension_1(params28):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_uniform_sphere_matches_norm_reference_bit_for_bit(seed):
-    for size in (1, 7, 1000, 160000):
+    block = _SPHERE_ROWS
+    for size in (1, 7, 1000, block - 1, block, block + 1, 160000):
         x = trajectory_rng(seed, size).normal(size=(size, 3))
         expected = x / np.linalg.norm(x, axis=1)[:, None]
         assert np.array_equal(uniform_sphere(trajectory_rng(seed, size), size), expected)
+
+
+class _ZeroedRows:
+    """A Generator whose normal rows at the chosen global indices, counted over all its
+    normal() calls, come out zero and so too short to normalize."""
+
+    def __init__(self, seed, rows):
+        self.rng = trajectory_rng(seed, 0)
+        self._rows = np.asarray(rows)
+        self.drawn = 0
+
+    def normal(self, size):
+        x = self.rng.normal(size=size)
+        hit = self._rows[(self._rows >= self.drawn) & (self._rows < self.drawn + len(x))]
+        x[hit - self.drawn] = 0.0
+        self.drawn += len(x)
+        return x
+
+
+def test_uniform_sphere_redraws_short_rows_as_the_reference_does():
+    # short rows in the first, second and last block, and in the first redraw, which
+    # forces a second one
+    block = _SPHERE_ROWS
+    size = 2 * block + 5
+    rows = [0, 3, block - 1, block, size - 1, size, size + 2]
+    got_rng, want_rng = _ZeroedRows(9, rows), _ZeroedRows(9, rows)
+    got = uniform_sphere(got_rng, size)
+    assert np.array_equal(got, uniform_sphere_reference(want_rng, size))
+    assert got_rng.drawn == want_rng.drawn == size + 5 + 2  # two redraws, of 5 rows and of 2
+    assert np.array_equal(got_rng.rng.random(3), want_rng.rng.random(3))
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 DRAW_PARAMS = {

@@ -228,6 +228,39 @@ def test_mc_sum_rule_matches_full_matrix_reference_bit_for_bit(d, k, uniform_rho
     assert est.predicted == sum_rule_constant(k, p, uniform_rho)
 
 
+@pytest.mark.parametrize("d, M", [(1, m) for m in range(1, 8)] + [(3, 1), (3, 2)])
+def test_word_products_match_einsum_bit_for_bit(d, M, uniform_rho):
+    # d*M = 1..7: one full realizer slice and one partial slice, against the (B, dm, dm)
+    # einsum of the full matrices' system blocks, compared byte for byte (signed zeros too)
+    from kacbath import words
+
+    p = GeneratorParams(M=M, N=2, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=d)
+    rho = uniform_rho if d == 1 else None
+    k, b, dm = 5, words._SLICE_WORDS + 37, d * M
+    got = words._word_products(k, p, rho, trajectory_rng(19, dm), b)
+    i0, j0, _, param = sample_collisions(p, rho, trajectory_rng(19, dm), b * k)
+    realize = realize_inverse_1d if d == 1 else realize_inverse_3d
+    inv = realize(i0.reshape(b, k), j0.reshape(b, k), param.reshape(b, k, *param.shape[1:]), p.n_particles)
+    a = np.ascontiguousarray(inv[:, :dm, :dm])
+    assert got.tobytes() == np.einsum("bij,bkj->bik", a, a).tobytes()
+
+
+@pytest.mark.parametrize("dm", range(1, 8))
+def test_gram_batch_last_matches_einsum_with_signed_zeros(dm):
+    # exact zeros of both signs make products -0.0; einsum's sums start at +0.0
+    from kacbath.words import _gram_batch_last
+
+    rng = np.random.default_rng(dm)
+    a = rng.normal(size=(dm, dm, 300))
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[:, :, 0] = -np.eye(dm)  # off-diagonal products of -1 and 0: at dm = 2 both are -0.0
+    out = np.empty((300, dm, dm))
+    _gram_batch_last(a, out)
+    ab = np.ascontiguousarray(a.transpose(2, 0, 1))
+    assert out.tobytes() == np.einsum("bij,bkj->bik", ab, ab).tobytes()
+
+
 @pytest.mark.parametrize("d, M, N, bound", [(1, 2, 4, 56), (3, 1, 2, 80)])
 def test_mc_sum_rule_transient_bytes_per_drawn_collision(d, M, N, bound, uniform_rho, monkeypatch):
     # Two chunks of 10000 words of k=8: the traced peak above the starting level, per
