@@ -14,7 +14,6 @@ from .engine import (
     EnsembleConfig,
     EnsembleResult,
     InitialCondition,
-    Trajectory,
     simulate_ensemble,
     simulate_trajectory,
     trajectory_rng,
@@ -38,7 +37,6 @@ from .inequalities import (
 from .model import (
     AngleDistribution,
     GeneratorParams,
-    PairIndex,
     effective_coupling_rate,
 )
 from .moments import (

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,17 +36,18 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
 
 
 def _integer(value, minimum: float, where: str, maximum: float = math.inf) -> int:
-    """A JSON integer in [minimum, maximum]; an integral float such as 4.0 counts."""
+    """A JSON integer in [minimum, maximum] and in the float range; an integral float such as 4.0 counts."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or not minimum <= value <= maximum:
+    if isinstance(value, bool) or not integral or not minimum <= value <= maximum or abs(value) > sys.float_info.max:
         raise ConfigError(f"{where} must be an integer in [{minimum}, {maximum}], got {value!r}")
     return int(value)
 
 
 def _number(value, where: str) -> float:
-    """A JSON number, an integer or a float but not a boolean, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+    """A JSON number, an integer or a float but not a boolean, as a finite float."""
+    # comparing an int with a float is exact: an integer past the float range fails here, not in float()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -213,8 +215,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require_keys(envelope_options, {"t_grid"}, set(), "envelope")
     if "t_grid" in envelope_options:
         grid = _times(envelope_options["t_grid"], "envelope.t_grid")
-        if not all(math.isfinite(t) and t >= 0 for t in grid):
-            raise ConfigError(f"envelope.t_grid must hold finite times >= 0, got {grid}")
+        if not all(t >= 0 for t in grid):
+            raise ConfigError(f"envelope.t_grid must hold times >= 0, got {grid}")
         envelope_options["t_grid"] = grid
     t_max = max([0.0, *envelope_options.get("t_grid", ()), *(ensemble.t_grid if ensemble is not None else ())])
     expected = params.total_rate * t_max
@@ -232,21 +234,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def _finite(text: str, kind: type = float) -> float | int:
-    """A JSON number as `kind`, if it is a finite float: an integer past sys.float_info.max is rejected too."""
-    if not math.isfinite(float(text)):
-        raise ConfigError(f"config holds the number {text}, which is not a finite float")
-    return kind(text)
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a JSON config file; NaN, Infinity and overflowing numbers are rejected."""
+    """Parse a JSON config file and check it with `parse_config`."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_finite, parse_float=_finite,
-                         parse_int=lambda text: _finite(text, int))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past Python's int-to-str digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 

@@ -37,6 +37,7 @@ from .model import (
     THERMAL_VARIANCE,
     AngleDistribution,
     GeneratorParams,
+    _is_int,
     collide,
     sample_collisions,
 )
@@ -51,10 +52,6 @@ MAX_INITIAL_SCALE = 1e50  # on initial variances and |mean|: fourth moments and 
 
 class SimulationError(RuntimeError):
     """State became non-finite, or energy drifted, during a trajectory."""
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -175,29 +172,55 @@ class EnsembleConfig:
             raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
         if not _is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        grid = np.asarray(self.t_grid, dtype=float)
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("t_grid must be finite")
-        if len(grid) < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("t_grid must start at 0 and be strictly increasing")
+        _check_grid(self.t_grid)
         known = {"system_velocities", "energies"}
         unknown = set(self.record) - known
         if unknown:
             raise ValueError(f"unknown record keys: {sorted(unknown)}")
 
 
+def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
+    """The observation times as floats: finite, starting at 0, strictly increasing."""
+    grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("t_grid must be finite")
+    if len(grid) < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
+        raise ValueError("t_grid must start at 0 and be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
-class Trajectory:
-    """Snapshots of the system block plus per-kind collision counts."""
+class EnsembleResult:
+    """Stacked trajectory observables in trajectory order."""
 
     t_grid: np.ndarray
-    snapshots: np.ndarray  # (n_times, d*M)
-    counts: np.ndarray  # (3,) system/bath/cross collision totals
-    energies: np.ndarray  # (n_times,) total energy
+    snapshots: np.ndarray  # (n_traj, n_times, d*M)
+    counts: np.ndarray  # (n_traj, 3) collisions of kinds 0, 1, 2
+    energies: np.ndarray | None  # (n_traj, n_times) total energy, if recorded
 
-    def __post_init__(self):
-        if len(self.snapshots) != len(self.t_grid):
-            raise ValueError("one snapshot per observation time required")
+    @property
+    def n_traj(self) -> int:
+        return self.snapshots.shape[0]
+
+    def cloud(self, time_index: int) -> np.ndarray:
+        """System velocity samples at one observation time, shape (n_traj, d*M)."""
+        return self.snapshots[:, time_index, :]
+
+    def moment_rows(self) -> list[tuple[float, float, float, int]]:
+        """Rows (t, mean per-coordinate system second moment, std error, n)."""
+        rows = []
+        for ti, t in enumerate(self.t_grid):
+            per_traj = np.mean(self.cloud(ti) ** 2, axis=1)
+            mean = float(per_traj.mean())
+            se = float(per_traj.std(ddof=1) / math.sqrt(self.n_traj)) if self.n_traj > 1 else 0.0
+            rows.append((float(t), mean, se, self.n_traj))
+        return rows
+
+
+def _empty_result(params: GeneratorParams, t_grid: np.ndarray, n_traj: int, energies: bool) -> EnsembleResult:
+    """Rows for n_traj trajectories, counts zeroed, for `_simulate_lockstep` to fill."""
+    return EnsembleResult(t_grid, np.empty((n_traj, len(t_grid), params.dimension * params.M)),
+                          np.zeros((n_traj, 3), dtype=np.int64), np.empty((n_traj, len(t_grid))) if energies else None)
 
 
 def simulate_trajectory(
@@ -206,32 +229,29 @@ def simulate_trajectory(
     init: InitialCondition,
     t_grid: Sequence[float],
     rng: np.random.Generator,
-) -> Trajectory:
-    """Evolve one trajectory, returning system snapshots at the given times.
+) -> EnsembleResult:
+    """Evolve one trajectory on `rng`, returning a one-row result with energies.
 
-    This is a lockstep run of one trajectory on `rng`; its first draw is the
-    system block, so the t=0 snapshot equals `init.sample_system(params, rng)`.
+    This is a lockstep run of one trajectory; its first draw is the system
+    block, so the t=0 snapshot equals `init.sample_system(params, rng)`.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 1 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be nonnegative and strictly increasing")
-    snapshots = np.empty((1, len(t_grid), params.dimension * params.M))
-    counts = np.zeros((1, 3), dtype=np.int64)
-    energies = np.empty((1, len(t_grid)))
-    _simulate_lockstep(params, rho, init, t_grid, rng, snapshots, counts, energies)
-    return Trajectory(t_grid, snapshots[0], counts[0], energies[0])
+    result = _empty_result(params, _check_grid(t_grid), 1, energies=True)
+    _simulate_lockstep(params, rho, init, rng, result, slice(None))
+    return result
 
 
-def _simulate_lockstep(params, rho, init, t_grid: np.ndarray, rng, snapshots, counts, energies) -> None:
-    """Evolve len(snapshots) trajectories together on one stream, writing their rows.
+def _simulate_lockstep(params, rho, init, rng, result: EnsembleResult, rows: slice) -> None:
+    """Evolve the trajectories of `rows` of `result` together on one stream, writing those rows.
 
     Draws, in order: system blocks, bath blocks, Poisson counts per window,
     then per window and per block of at most _BLOCK_SLOTS slots (steps x
-    trajectories) the collisions that occur.  Fills snapshots (size, n_times,
-    d*M) and, if it is not None, energies (size, n_times); adds the per-kind
-    collision counts to counts (size, 3), which the caller zeroes.
+    trajectories) the collisions that occur.  Fills the rows' snapshots and,
+    if recorded, energies; adds the per-kind collision counts to their zeroed
+    counts.
     """
     d, M, N = params.dimension, params.M, params.N
+    t_grid, snapshots, counts = result.t_grid, result.snapshots[rows], result.counts[rows]
+    energies = None if result.energies is None else result.energies[rows]
     size = len(snapshots)
     lam = params.total_rate
     # one state (d(M+N), size), batch axis last as `collide` takes it
@@ -294,36 +314,6 @@ def _check_energy(energy: np.ndarray, e0: np.ndarray, t: float) -> None:
         raise SimulationError(f"relative energy drift {worst!r} at t={t} exceeds {ENERGY_DRIFT_TOL!r}")
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Stacked trajectory observables in trajectory order."""
-
-    params: GeneratorParams
-    t_grid: np.ndarray
-    seed: int
-    snapshots: np.ndarray  # (n_traj, n_times, d*M)
-    counts: np.ndarray  # (n_traj, 3)
-    energies: np.ndarray | None
-
-    @property
-    def n_traj(self) -> int:
-        return self.snapshots.shape[0]
-
-    def cloud(self, time_index: int) -> np.ndarray:
-        """System velocity samples at one observation time, shape (n_traj, d*M)."""
-        return self.snapshots[:, time_index, :]
-
-    def moment_rows(self) -> list[tuple[float, float, float, int]]:
-        """Rows (t, mean per-coordinate system second moment, std error, n)."""
-        rows = []
-        for ti, t in enumerate(self.t_grid):
-            per_traj = np.mean(self.cloud(ti) ** 2, axis=1)
-            mean = float(per_traj.mean())
-            se = float(per_traj.std(ddof=1) / math.sqrt(self.n_traj)) if self.n_traj > 1 else 0.0
-            rows.append((float(t), mean, se, self.n_traj))
-        return rows
-
-
 def simulate_ensemble(
     params: GeneratorParams,
     rho: AngleDistribution | None,
@@ -338,18 +328,13 @@ def simulate_ensemble(
     worker count yields identical arrays.  Workers are threads, capped by the
     number of chunks and of CPUs; one worker runs in the caller's thread.
     """
-    t_grid = np.asarray(config.t_grid, dtype=float)
-    n = config.n_traj
-    snapshots = np.empty((n, len(t_grid), params.dimension * params.M))
-    counts = np.zeros((n, 3), dtype=np.int64)
-    energies = np.empty((n, len(t_grid))) if "energies" in config.record else None
+    result = _empty_result(params, np.asarray(config.t_grid, dtype=float), config.n_traj, "energies" in config.record)
 
     def run_chunk(index: int) -> None:
         rows = slice(index * _CHUNK, (index + 1) * _CHUNK)
-        _simulate_lockstep(params, rho, init, t_grid, trajectory_rng(config.seed, index),
-                           snapshots[rows], counts[rows], None if energies is None else energies[rows])
+        _simulate_lockstep(params, rho, init, trajectory_rng(config.seed, index), result, rows)
 
-    chunks = range(-(-n // _CHUNK))
+    chunks = range(-(-config.n_traj // _CHUNK))
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # imported here so one-worker runs skip it
@@ -359,5 +344,4 @@ def simulate_ensemble(
     else:
         for index in chunks:
             run_chunk(index)
-    return EnsembleResult(params=params, t_grid=t_grid, seed=config.seed,
-                          snapshots=snapshots, counts=counts, energies=energies)
+    return result

@@ -21,11 +21,6 @@ THERMAL_VARIANCE = 1.0 / TWO_PI
 MASS_TOL = 1e-12
 SINCOS_TOL = 1e-12
 
-KIND_SYSTEM = "system-system"
-KIND_RESERVOIR = "reservoir-reservoir"
-KIND_CROSS = "cross"
-KINDS = (KIND_SYSTEM, KIND_RESERVOIR, KIND_CROSS)
-
 CDF_KNOTS = 2 ** 16  # inverse-CDF table resolution for continuous angle laws
 DENSITY_SEGMENTS = 1024  # quadrature segments on [-pi, pi] for a callable density
 _SPHERE_ROWS = 8192  # rows uniform_sphere draws and normalizes at once; the stream does not depend on it
@@ -35,12 +30,18 @@ class InvalidDistributionError(ValueError):
     """Angle distribution violates unit mass or the zero sin*cos moment."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Counts and collision rates of the system/bath pair process.
 
     lambda_S, lambda_R and mu are the per-particle scattering rates within
-    the system, within the bath, and across, in units of 1/time.
+    the system, within the bath, and across, in units of 1/time.  Pair kinds
+    are the integers 0 (system), 1 (bath) and 2 (cross), in the order of
+    `kind_rates`.
     """
 
     M: int
@@ -51,8 +52,8 @@ class GeneratorParams:
     dimension: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.M, int) and isinstance(self.N, int)):
-            raise ValueError("particle counts must be integers")
+        if not all(_is_int(n) for n in (self.M, self.N, self.dimension)):
+            raise ValueError(f"M, N and dimension must be integers, got {self.M!r}, {self.N!r}, {self.dimension!r}")
         if self.M < 1 or self.N < 1:
             raise ValueError("particle counts must be positive")
         if not all(math.isfinite(r) and r >= 0 for r in (self.lambda_S, self.lambda_R, self.mu)):
@@ -91,7 +92,9 @@ class GeneratorParams:
     def pair_weight(self, i: int, j: int) -> float:
         """Probability that a single jump picks the (1-based) pair i < j: its
         kind's probability, shared uniformly by the pairs of that kind."""
-        kind = KINDS.index(PairIndex.of(i, j, self.M).kind)
+        if not 1 <= i < j <= self.n_particles:
+            raise ValueError(f"need 1 <= i < j <= {self.n_particles}, got ({i}, {j})")
+        kind = 0 if j <= self.M else 1 if i > self.M else 2
         n_pairs = (self.M * (self.M - 1) // 2, self.N * (self.N - 1) // 2, self.M * self.N)[kind]
         return float(self.kind_probabilities[kind]) / n_pairs
 
@@ -107,27 +110,6 @@ class GeneratorParams:
             mu=2.0 * N / denom,
             dimension=dimension,
         )
-
-
-@dataclass(frozen=True)
-class PairIndex:
-    """Unordered particle pair, 1-based, classified by which side each index touches."""
-
-    i: int
-    j: int
-    kind: str
-
-    @classmethod
-    def of(cls, i: int, j: int, M: int) -> "PairIndex":
-        if not 1 <= i < j:
-            raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
-        if j <= M:
-            kind = KIND_SYSTEM
-        elif i > M:
-            kind = KIND_RESERVOIR
-        else:
-            kind = KIND_CROSS
-        return cls(i=i, j=j, kind=kind)
 
 
 def _periodic_table(thetas: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

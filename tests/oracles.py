@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kacbath.model import PairIndex
 from kacbath.quadrature import gaussian_tensor_rule, tensor_rule
 
 
-def rotate_pair_1d(z: np.ndarray, pair: PairIndex, theta: float) -> np.ndarray:
-    """Rotate the (i, j) velocity plane by theta; other coordinates untouched."""
+def rotate_pair_1d(z: np.ndarray, i: int, j: int, theta: float) -> np.ndarray:
+    """Rotate the velocity plane of the 1-based pair (i, j) by theta; other coordinates untouched."""
     out = np.array(z, dtype=float)
-    i, j = pair.i - 1, pair.j - 1
+    i, j = i - 1, j - 1
     c, s = math.cos(theta), math.sin(theta)
     vi, vj = out[i], out[j]
     out[i] = vi * c + vj * s
@@ -21,8 +20,8 @@ def rotate_pair_1d(z: np.ndarray, pair: PairIndex, theta: float) -> np.ndarray:
     return out
 
 
-def collide_pair_3d(z: np.ndarray, pair: PairIndex, omega: np.ndarray) -> np.ndarray:
-    """Exchange the omega-component of the relative velocity of the pair.
+def collide_pair_3d(z: np.ndarray, i: int, j: int, omega: np.ndarray) -> np.ndarray:
+    """Exchange the omega-component of the relative velocity of the 1-based pair (i, j).
 
     Conserves the pair's momentum and kinetic energy and is an involution.
     """
@@ -30,7 +29,7 @@ def collide_pair_3d(z: np.ndarray, pair: PairIndex, omega: np.ndarray) -> np.nda
     if abs(float(np.linalg.norm(omega)) - 1.0) > 1e-12:
         raise ValueError("omega must be a unit vector")
     out = np.array(z, dtype=float)
-    i, j = pair.i - 1, pair.j - 1
+    i, j = i - 1, j - 1
     g = float(np.dot(omega, out[i] - out[j]))
     out[i] = out[i] - g * omega
     out[j] = out[j] + g * omega

@@ -112,6 +112,14 @@ def test_canonical_hash_is_key_order_independent():
     assert canonical_hash(a) == canonical_hash(b)
 
 
+@pytest.mark.parametrize("field", ["lambda_S", "M"])
+def test_parse_config_rejects_integers_past_the_float_range(field):
+    raw = {"params": {"M": 2, "N": 8, "lambda_S": 1.0, "lambda_R": 1.0, "mu": 1.0, field: 10 ** 400},
+           "rho": {"type": "uniform"}}
+    with pytest.raises(ConfigError, match=f"params.{field}"):
+        parse_config(raw)
+
+
 def test_parse_config_requires_mapping():
     with pytest.raises(ConfigError):
         parse_config([1, 2])

@@ -21,18 +21,42 @@ from tests.oracles import collide_pair_3d, gaussian_system_block_reference, rota
 
 def test_time_zero_snapshot_is_exact_initial_sample(params28, uniform_rho):
     init = InitialCondition.gaussian_product(0.4)
-    traj = simulate_trajectory(params28, uniform_rho, init, [0.0], trajectory_rng(5, 0))
+    snapshots = simulate_trajectory(params28, uniform_rho, init, [0.0], trajectory_rng(5, 0)).snapshots[0]
     expected = init.sample_system(params28, trajectory_rng(5, 0))
-    assert np.array_equal(traj.snapshots[0], expected)
+    assert np.array_equal(snapshots[0], expected)
 
 
 def test_no_rates_means_frozen_state(uniform_rho):
     p = GeneratorParams(M=2, N=3, lambda_S=0.0, lambda_R=0.0, mu=0.0)
     init = InitialCondition.gaussian_product(0.4)
     traj = simulate_trajectory(p, uniform_rho, init, [0.0, 1.0, 5.0], trajectory_rng(6, 0))
-    assert np.array_equal(traj.snapshots[0], traj.snapshots[1])
-    assert np.array_equal(traj.snapshots[0], traj.snapshots[2])
-    assert traj.counts.sum() == 0
+    snapshots = traj.snapshots[0]
+    assert np.array_equal(snapshots[0], snapshots[1])
+    assert np.array_equal(snapshots[0], snapshots[2])
+    assert traj.counts[0].sum() == 0
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_trajectory_is_the_one_trajectory_ensemble_bit_for_bit(d, uniform_rho):
+    p = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0, dimension=d)
+    rho = uniform_rho if d == 1 else None
+    init = InitialCondition.gaussian_product(0.4)
+    grid = (0.0, 0.5, 2.0, 3.0)
+    traj = simulate_trajectory(p, rho, init, grid, trajectory_rng(58, 0))
+    ens = simulate_ensemble(p, rho, init, EnsembleConfig(n_traj=1, t_grid=grid, seed=58, record=("energies",)))
+    assert ens.counts.sum() > 0
+    for name in ("snapshots", "counts", "energies"):
+        assert getattr(traj, name).tobytes() == getattr(ens, name).tobytes()
+        assert getattr(traj, name).shape == getattr(ens, name).shape
+    assert np.array_equal(traj.t_grid, ens.t_grid)
+
+
+@pytest.mark.parametrize("grid", [(0.5, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 1.0, 1.0), ()])
+def test_trajectory_grid_follows_the_ensemble_rule(params28, uniform_rho, grid):
+    with pytest.raises(ValueError, match="t_grid"):
+        EnsembleConfig(n_traj=1, t_grid=grid, seed=1)
+    with pytest.raises(ValueError, match="t_grid"):
+        simulate_trajectory(params28, uniform_rho, InitialCondition.thermal(), grid, trajectory_rng(1, 0))
 
 
 def test_fast_coupling_reaches_equipartition(uniform_rho):
@@ -63,11 +87,11 @@ def test_energy_conservation_along_trajectories(params28, uniform_rho):
     init = InitialCondition.gaussian_product(0.5)
     worst = 0.0
     for i in range(100):
-        traj = simulate_trajectory(
+        energies = simulate_trajectory(
             params28, uniform_rho, init, [0.0, 1.0, 3.0, 10.0], trajectory_rng(31, i)
-        )
-        e0 = traj.energies[0]
-        worst = max(worst, float(np.max(np.abs(traj.energies - e0)) / e0))
+        ).energies[0]
+        e0 = energies[0]
+        worst = max(worst, float(np.max(np.abs(energies - e0)) / e0))
     assert worst <= 1e-10
 
 
@@ -278,7 +302,7 @@ def test_energy_drift_beyond_tolerance_raises(params28, uniform_rho, monkeypatch
 
 
 def test_shared_kernel_matches_scalar_collisions():
-    from kacbath.model import PairIndex, collide, uniform_sphere
+    from kacbath.model import collide, uniform_sphere
 
     rng = trajectory_rng(52, 0)
     batch, n = 64, 5
@@ -289,14 +313,14 @@ def test_shared_kernel_matches_scalar_collisions():
     state = np.ascontiguousarray(z1.T).reshape(n, 1, 1, batch)
     collide(state, np.arange(batch), i, j, np.stack([np.cos(thetas), np.sin(thetas)]))
     for b in range(batch):
-        expected = rotate_pair_1d(z1[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), thetas[b])
+        expected = rotate_pair_1d(z1[b], int(i[b]) + 1, int(j[b]) + 1, thetas[b])
         assert np.array_equal(state[..., b].ravel(), expected)
     axes = uniform_sphere(rng, batch)
     z3 = rng.normal(size=(batch, n, 3))
     state = np.ascontiguousarray(z3.transpose(1, 2, 0)).reshape(n, 3, 1, batch)
     collide(state, np.arange(batch), i, j, axes.T)
     for b in range(batch):
-        expected = collide_pair_3d(z3[b], PairIndex.of(int(i[b]) + 1, int(j[b]) + 1, 2), axes[b])
+        expected = collide_pair_3d(z3[b], int(i[b]) + 1, int(j[b]) + 1, axes[b])
         assert np.max(np.abs(state[..., b].reshape(n, 3) - expected)) < 1e-14
 
 
@@ -389,7 +413,7 @@ def test_lockstep_updates_exactly_one_lane_per_event(uniform_rho, monkeypatch):
 
 
 def test_shared_kernel_on_identity_reproduces_word_inverses():
-    from kacbath.model import PairIndex, collide
+    from kacbath.model import collide
     from kacbath.words import realize_inverse_1d, realize_inverse_3d
 
     n = 4
@@ -400,9 +424,9 @@ def test_shared_kernel_on_identity_reproduces_word_inverses():
     z = trajectory_rng(53, 0).normal(size=3 * n)
     for d, params, inverse, oracle in (
         (1, np.stack([np.cos(thetas), -np.sin(thetas)]), realize_inverse_1d(i0, j0, thetas, n)[0],
-         lambda out, pair, e: rotate_pair_1d(out, pair, thetas[e])),
+         lambda out, i, j, e: rotate_pair_1d(out, i, j, thetas[e])),
         (3, axes.T, realize_inverse_3d(i0[None], j0[None], axes[None], n)[0],
-         lambda out, pair, e: collide_pair_3d(out.reshape(n, 3), pair, axes[e]).ravel()),
+         lambda out, i, j, e: collide_pair_3d(out.reshape(n, 3), i, j, axes[e]).ravel()),
     ):
         w = np.eye(d * n)[:, :, None].copy()
         for e in range(len(i0)):
@@ -413,7 +437,7 @@ def test_shared_kernel_on_identity_reproduces_word_inverses():
         # acts first; the inverse matrix undoes that
         out = z[: d * n].copy()
         for e in reversed(range(len(i0))):
-            out = oracle(out, PairIndex.of(int(i0[e]) + 1, int(j0[e]) + 1, 2), e)
+            out = oracle(out, int(i0[e]) + 1, int(j0[e]) + 1, e)
         assert np.max(np.abs(w[..., 0] @ out - z[: d * n])) < 1e-14
 
 

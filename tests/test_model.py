@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kacbath import (
     AngleDistribution,
     GeneratorParams,
-    PairIndex,
     effective_coupling_rate,
 )
 from kacbath.engine import trajectory_rng
@@ -41,6 +40,14 @@ def test_params_validation():
         GeneratorParams(M=2, N=5, lambda_S=-1, lambda_R=1, mu=1)
     with pytest.raises(ValueError):
         GeneratorParams(M=2, N=5, lambda_S=1, lambda_R=1, mu=1, dimension=2)
+
+
+@pytest.mark.parametrize("field, value", [("dimension", 1.0), ("dimension", True), ("M", True), ("N", 8.0)])
+def test_params_need_integer_counts_and_dimension(field, value):
+    args = dict(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="integers"):
+        GeneratorParams(**{**args, field: value})
+    assert GeneratorParams(**{**args, field: np.int64(value)}) == GeneratorParams(**{**args, field: int(value)})
 
 
 def test_total_rate_and_kind_split(params28):
@@ -92,12 +99,16 @@ def test_classical_preset_exact_rates():
             assert p.total_rate == pytest.approx(m + n, rel=1e-14)
 
 
-def test_pair_index_kinds():
-    assert PairIndex.of(1, 2, 2).kind == "system-system"
-    assert PairIndex.of(3, 5, 2).kind == "reservoir-reservoir"
-    assert PairIndex.of(2, 3, 2).kind == "cross"
-    with pytest.raises(ValueError):
-        PairIndex.of(3, 2, 2)
+def test_pair_weight_kinds(params28):
+    # kinds 0, 1, 2 (system, bath, cross) hold 1, 28 and 16 pairs at (M, N) = (2, 8)
+    probs = params28.kind_probabilities
+    assert params28.pair_weight(1, 2) == probs[0] / 1
+    assert params28.pair_weight(3, 5) == probs[1] / 28
+    assert params28.pair_weight(2, 3) == probs[2] / 16
+    assert params28.pair_weight(1, 10) == probs[2] / 16
+    for i, j in [(3, 2), (2, 2), (0, 2), (1, 11)]:
+        with pytest.raises(ValueError):
+            params28.pair_weight(i, j)
 
 
 # ---------------------------------------------------------------- angle laws
@@ -192,9 +203,8 @@ def test_effective_coupling_rate_3d():
 
 def test_rotation_identity_and_quarter_turn():
     z = np.array([1.0, 0.0, 0.3])
-    pair = PairIndex.of(1, 2, 3)
-    assert np.array_equal(rotate_pair_1d(z, pair, 0.0), z)
-    out = rotate_pair_1d(z, pair, math.pi / 2)
+    assert np.array_equal(rotate_pair_1d(z, 1, 2, 0.0), z)
+    out = rotate_pair_1d(z, 1, 2, math.pi / 2)
     assert np.allclose(out, [0.0, -1.0, 0.3], atol=1e-15)
 
 
@@ -206,7 +216,7 @@ def test_rotation_identity_and_quarter_turn():
 )
 def test_rotation_conserves_pair_energy(theta, vi, vj):
     z = np.array([vi, vj])
-    out = rotate_pair_1d(z, PairIndex.of(1, 2, 2), theta)
+    out = rotate_pair_1d(z, 1, 2, theta)
     e_in = vi * vi + vj * vj
     assert abs(np.dot(out, out) - e_in) <= 1e-12 * (1.0 + e_in)
 
@@ -218,14 +228,14 @@ def test_collision_3d_perpendicular_axis_is_identity(rng):
     om = np.cross(rel, [0.0, 0.0, 1.0])
     om /= np.linalg.norm(om)
     z = np.stack([zi, zj])
-    out = collide_pair_3d(z, PairIndex.of(1, 2, 1), om)
+    out = collide_pair_3d(z, 1, 2, om)
     assert np.allclose(out, z, atol=1e-14)
 
 
 def test_collision_3d_full_exchange():
     om = np.array([1.0, 0.0, 0.0])
     z = np.stack([om, np.zeros(3)])
-    out = collide_pair_3d(z, PairIndex.of(1, 2, 1), om)
+    out = collide_pair_3d(z, 1, 2, om)
     assert np.allclose(out[0], 0.0, atol=1e-15)
     assert np.allclose(out[1], om, atol=1e-15)
 
@@ -238,20 +248,19 @@ def test_collision_3d_involution_and_conservation(data):
         vec = np.array([1.0, 0.0, 0.0])
     om = vec / np.linalg.norm(vec)
     z = np.array(data[3:]).reshape(2, 3)
-    pair = PairIndex.of(1, 2, 1)
-    out = collide_pair_3d(z, pair, om)
+    out = collide_pair_3d(z, 1, 2, om)
     scale = 1.0 + np.max(np.abs(z))
     assert np.max(np.abs((out[0] + out[1]) - (z[0] + z[1]))) <= 1e-12 * scale
     e_in = float(np.sum(z * z))
     assert abs(float(np.sum(out * out)) - e_in) <= 1e-12 * (1.0 + e_in)
-    back = collide_pair_3d(out, pair, om)
+    back = collide_pair_3d(out, 1, 2, om)
     assert np.max(np.abs(back - z)) <= 1e-12 * scale
 
 
 def test_collision_rejects_non_unit_axis():
     z = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        collide_pair_3d(z, PairIndex.of(1, 2, 1), np.array([1.0, 1.0, 0.0]))
+        collide_pair_3d(z, 1, 2, np.array([1.0, 1.0, 0.0]))
 
 
 # ----------------------------------------------------------- event sampling

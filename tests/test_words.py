@@ -18,7 +18,7 @@ from kacbath import (
     sum_rule_constant,
 )
 from kacbath.engine import trajectory_rng
-from kacbath.model import PairIndex, sample_collisions, sample_pairs_array, uniform_sphere
+from kacbath.model import sample_collisions, sample_pairs_array, uniform_sphere
 from kacbath.words import _realize_inverse, realize_inverse_1d, realize_inverse_3d
 from tests.oracles import gaussian_marginal_check, rotate_pair_1d
 
@@ -26,7 +26,7 @@ from tests.oracles import gaussian_marginal_check, rotate_pair_1d
 def _random_word(k, params, rho, rng):
     """One word of k collisions: its pairs, parameters and realized inverse matrix."""
     i0, j0, _, param = sample_collisions(params, rho, rng, k)
-    pairs = [PairIndex.of(int(i) + 1, int(j) + 1, params.M) for i, j in zip(i0, j0)]
+    pairs = [(int(i) + 1, int(j) + 1) for i, j in zip(i0, j0)]
     inv = _realize_inverse(i0[None], j0[None], param[None], params.n_particles, params.dimension)[:, :, 0]
     return pairs, param, inv
 
@@ -87,7 +87,7 @@ def test_realize_matches_kernel_application(params24, uniform_rho, rng):
     out = z.copy()
     # the realized matrix is the product in word order, so the last factor acts first
     for pair, theta in zip(reversed(pairs), reversed(thetas)):
-        out = rotate_pair_1d(out, pair, theta)
+        out = rotate_pair_1d(out, *pair, theta)
     assert np.max(np.abs(inv.T @ z - out)) < 1e-12
 
 
