@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (MAX_EVENTS_PER_TRAJECTORY, MAX_STATE_COORDINATES, MAX_TRAJECTORIES, ConfigError,
+                     ExperimentConfig, load_config)
 from .discretize import build_discrete_angle_measure, build_sphere_quadrature
 from .engine import SimulationError, estimator_rng, simulate_ensemble
 from .entropy import (DEFAULT_BOOTSTRAP, DEFAULT_K, decay_check, gaussian_initial_entropy,
@@ -80,14 +81,18 @@ def _effective_workers(args) -> int:
     return workers
 
 
-def _require_at_least(args, name: str, minimum: int) -> None:
-    if getattr(args, name) < minimum:
-        raise ConfigError(f"--{name} must be >= {minimum}, got {getattr(args, name)}")
+def _require_in_range(args, name: str, minimum: int, maximum: float = float("inf")) -> None:
+    if not minimum <= getattr(args, name) <= maximum:
+        raise ConfigError(f"--{name} must be in [{minimum}, {maximum:g}], got {getattr(args, name)}")
 
 
 def _run_ensemble(cfg: ExperimentConfig, seed: int, workers: int):
     if cfg.initial is None or cfg.ensemble is None:
         raise ConfigError("simulation needs 'initial' and 'ensemble' sections")
+    coordinates = cfg.params.dimension * cfg.params.n_particles
+    if coordinates > MAX_STATE_COORDINATES:
+        raise ConfigError(f"d * (M + N) = {coordinates} velocity coordinates per trajectory exceed "
+                          f"MAX_STATE_COORDINATES = {MAX_STATE_COORDINATES}")
     return simulate_ensemble(cfg.params, cfg.rho, cfg.initial, replace(cfg.ensemble, seed=seed), workers=workers)
 
 
@@ -141,8 +146,8 @@ def cmd_envelope(args, cfg, seed):
 
 
 def cmd_verify_sum_rule(args, cfg, seed):
-    _require_at_least(args, "k", 0)
-    _require_at_least(args, "n", 2)  # one word has no standard error
+    _require_in_range(args, "k", 0, MAX_EVENTS_PER_TRAJECTORY)  # a word is one trajectory's collisions
+    _require_in_range(args, "n", 2, MAX_TRAJECTORIES)  # one word has no standard error
     if args.k > 0 and cfg.params.total_rate <= 0.0:
         raise ConfigError("words of length k >= 1 need a positive total jump rate")
     estimate = mc_sum_rule(args.k, cfg.params, cfg.rho, args.n, estimator_rng(seed, args.k))
@@ -161,7 +166,7 @@ def cmd_verify_sum_rule(args, cfg, seed):
 def cmd_discretize_angle(args, cfg, seed):
     if cfg.rho is None:
         raise ConfigError("discretize-angle needs a rho section")
-    _require_at_least(args, "K", 1)
+    _require_in_range(args, "K", 1)
     try:  # a law within 1e-12 of unit mass can round past it on the grid
         measure = build_discrete_angle_measure(cfg.rho, args.K)
     except InvalidDistributionError as exc:
@@ -176,8 +181,8 @@ def cmd_discretize_angle(args, cfg, seed):
 
 
 def cmd_discretize_sphere(args, cfg, seed):
-    _require_at_least(args, "L", 2)
-    _require_at_least(args, "K", 2)
+    _require_in_range(args, "L", 2)
+    _require_in_range(args, "K", 2)
     rule = build_sphere_quadrature(args.L, args.K)
     report = sphere_rule_report(rule)
     rows = [(x, y, z, w) for (x, y, z), w in zip(rule.nodes.tolist(), rule.weights.tolist())]

@@ -17,9 +17,12 @@ from .model import THERMAL_VARIANCE, AngleDistribution, GeneratorParams, Invalid
 # envelope_poisson_sum time point at the event cap (expected collisions per
 # trajectory, total_rate * t_max) takes 1.6 s and 1e8 trajectories of the (2,8)
 # d=1 system take about an hour; 1e4 bootstrap replicates are 200 times the default.
+# At the coordinate cap (d * (M + N) velocity coordinates per trajectory), the
+# state of one 2048-trajectory engine chunk takes 1 GiB of float64.
 MAX_EVENTS_PER_TRAJECTORY = 1e6
 MAX_TRAJECTORIES = 10**8
 MAX_BOOTSTRAP = 10**4
+MAX_STATE_COORDINATES = 2**16
 
 
 class ConfigError(ValueError):

@@ -104,17 +104,16 @@ def build_discrete_angle_measure(rho: AngleDistribution, K: int) -> DiscreteAngl
 class SphereQuadrature:
     """Product rule on the unit sphere: Gauss-Legendre polar x uniform azimuthal.
 
-    Normalized to total mass 1; the weights stored are plain Gauss-Legendre
-    weights divided by the azimuthal count times two, with the sin(theta)
-    Jacobian already absorbed by quadrating in the polar cosine.
+    Node i * 2K + j sits at polar cosine u_i (the order-L Gauss-Legendre
+    nodes) and azimuth phi_j = pi j / K, j < 2K, with weight w_i / (4K): the
+    polar weights w_i sum to 2, so the rule has mass 1, and quadrating in the
+    polar cosine absorbs the sin(theta) Jacobian.
     """
 
-    polar_order: int
-    azimuthal_count: int
-    nodes: np.ndarray  # (n, 3) unit vectors
-    weights: np.ndarray  # (n,)
-    polar_nodes: np.ndarray
-    polar_weights: np.ndarray
+    polar_order: int  # L
+    azimuthal_count: int  # K
+    nodes: np.ndarray  # (2KL, 3) unit vectors
+    weights: np.ndarray  # (2KL,)
 
     @property
     def mass(self) -> float:
@@ -132,21 +131,7 @@ def build_sphere_quadrature(polar_order: int, azimuthal_count: int) -> SphereQua
     u, w = np.polynomial.legendre.leggauss(polar_order)
     phis = np.pi * np.arange(2 * azimuthal_count) / azimuthal_count
     sin_theta = np.sqrt(1.0 - u * u)
-    # node (i, j): direction at polar cosine u_i and azimuth phi_j
-    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
-    nodes = np.empty((polar_order * 2 * azimuthal_count, 3))
-    weights = np.empty(len(nodes))
-    for i in range(polar_order):
-        sl = slice(i * 2 * azimuthal_count, (i + 1) * 2 * azimuthal_count)
-        nodes[sl, 0] = sin_theta[i] * cos_phi
-        nodes[sl, 1] = sin_theta[i] * sin_phi
-        nodes[sl, 2] = u[i]
-        weights[sl] = w[i] / (4.0 * azimuthal_count)
-    return SphereQuadrature(
-        polar_order=polar_order,
-        azimuthal_count=azimuthal_count,
-        nodes=nodes,
-        weights=weights,
-        polar_nodes=u,
-        polar_weights=w,
-    )
+    nodes = np.column_stack([np.outer(sin_theta, np.cos(phis)).ravel(), np.outer(sin_theta, np.sin(phis)).ravel(),
+                             np.repeat(u, 2 * azimuthal_count)])
+    weights = np.repeat(w / (4.0 * azimuthal_count), 2 * azimuthal_count)
+    return SphereQuadrature(polar_order=polar_order, azimuthal_count=azimuthal_count, nodes=nodes, weights=weights)

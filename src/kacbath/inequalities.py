@@ -3,8 +3,10 @@
 The Nelson, Brascamp-Lieb and dual checks integrate with Gauss-Hermite rules
 in Gaussian-weighted form (weight exp(-pi |x|^2), unit mass); each verdict is
 recomputed at twice the quadrature order and the pair must agree before a
-PASS/FAIL is reported. The heat-flow check uses Gaussian factors only, so
-their flow and the joint integral Phi(t) are closed forms and need no rule.
+PASS/FAIL is reported. Their integrands must be nonnegative: a negative value
+at a quadrature point raises ValueError instead of giving a verdict. The
+heat-flow check uses Gaussian factors only, so their flow and the joint
+integral Phi(t) are closed forms and need no rule.
 """
 from __future__ import annotations
 
@@ -28,58 +30,61 @@ HEAT_FLOW_LIMIT_REL_TOL = 0.02
 
 @dataclass(frozen=True)
 class TestFunction1D:
-    """A profile on the line used as hypercontractivity test input."""
+    """A profile on the line used as hypercontractivity test input; `fn` takes a
+    flat array of points, and a call returns values in the shape of its points."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     fn: Callable[[np.ndarray], np.ndarray]
-    positive: bool = True
     label: str = ""
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return np.asarray(self.fn(x.ravel()), dtype=float).reshape(x.shape)
 
     @classmethod
     def constant(cls, c: float) -> "TestFunction1D":
-        return cls(fn=lambda x: np.full_like(x, c), positive=c >= 0, label=f"const({c})")
+        return cls(fn=lambda x: np.full_like(x, c), label=f"const({c})")
 
     @classmethod
     def coordinate(cls) -> "TestFunction1D":
-        return cls(fn=lambda x: x, positive=False, label="x")
+        return cls(fn=lambda x: x, label="x")
 
     @classmethod
     def gaussian_bump(cls, a: float, center: float = 0.0) -> "TestFunction1D":
         if a <= 0:
             raise ValueError("bump needs a > 0")
-        return cls(
-            fn=lambda x: np.exp(-a * (x - center) ** 2),
-            positive=True,
-            label=f"bump(a={a},c={center})",
-        )
+        return cls(fn=lambda x: np.exp(-a * (x - center) ** 2), label=f"bump(a={a},c={center})")
 
     @classmethod
     def polynomial_bump(cls, coeffs: Sequence[float]) -> "TestFunction1D":
         """0.1 + p(x)^2: strictly positive, polynomially bounded."""
         poly = np.polynomial.Polynomial(list(coeffs))
-        return cls(
-            fn=lambda x: 0.1 + poly(x) ** 2,
-            positive=True,
-            label=f"polybump{tuple(coeffs)}",
-        )
+        return cls(fn=lambda x: 0.1 + poly(x) ** 2, label=f"polybump{tuple(coeffs)}")
 
 
-def gaussian_integral_1d(h, order: int = 96) -> float:
-    """Integral of h against the unit Gaussian weight."""
-    x, w = gaussian_tensor_rule(order, 1)
-    return float(np.dot(h(x[:, 0]), w))
+def _eval_factor(fn, pts: np.ndarray) -> np.ndarray:
+    """Values of a check's integrand at points of shape (n, d), as a flat array; on R^0
+    (d = 0) it is a constant, evaluated once.  A negative or nan value raises ValueError."""
+    if pts.shape[1] == 0:
+        vals = np.full(pts.shape[0], float(np.asarray(fn(pts[:1])).ravel()[0]))
+    else:
+        vals = np.asarray(fn(pts), dtype=float).ravel()
+    if not np.all(vals >= 0.0):
+        raise ValueError(f"integrand must be nonnegative, got {float(np.min(vals))!r} at a quadrature point")
+    return vals
 
 
-def entropy_functional_1d(h, order: int = 96) -> float:
-    """Integral of h log h against the Gaussian weight (0 log 0 := 0)."""
-    x, w = gaussian_tensor_rule(order, 1)
-    vals = np.clip(h(x[:, 0]), 0.0, None)
-    logs = np.where(vals > 0, np.log(np.where(vals > 0, vals, 1.0)), 0.0)
-    return float(np.dot(vals * logs, w))
+def gaussian_average(fn, order: int, dim: int) -> float:
+    """Integral of a nonnegative fn on R^dim against the unit Gaussian weight, by the
+    tensor Gauss-Hermite rule of the given order."""
+    pts, wts = gaussian_tensor_rule(order, dim)
+    return float(np.dot(_eval_factor(fn, pts), wts))
+
+
+def _entropy_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """Quadrature sum of v log v for nonnegative values v, with 0 log 0 := 0."""
+    return float(np.dot(values * np.log(np.where(values > 0, values, 1.0)), weights))
 
 
 def ou_apply(h: TestFunction1D, t: float, order: int = 64) -> TestFunction1D:
@@ -97,12 +102,9 @@ def ou_apply(h: TestFunction1D, t: float, order: int = 64) -> TestFunction1D:
     nodes = nodes[:, 0]
 
     def evolved(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        args = decay * x[:, None] + spread * nodes[None, :]
-        vals = np.asarray(h.fn(args.ravel()), dtype=float).reshape(args.shape)
-        return vals @ wts
+        return h(decay * x[:, None] + spread * nodes[None, :]) @ wts
 
-    return TestFunction1D(fn=evolved, positive=h.positive, label=f"OU[{t}]{h.label}")
+    return TestFunction1D(fn=evolved, label=f"OU[{t}]{h.label}")
 
 
 @dataclass(frozen=True)
@@ -138,15 +140,14 @@ def entropic_nelson_check(h: TestFunction1D, t: float, order: int = 96) -> Inequ
     The entropy of the evolved profile must stay below the e^(-2t) blend of
     the original entropy and the mass-only baseline.
     """
-    if not h.positive:
-        raise ValueError("entropy check needs a nonnegative profile")
 
     def margin_at(q: int) -> float:
-        s_h = entropy_functional_1d(h, q)
-        mass = gaussian_integral_1d(h, q)
-        s_evolved = entropy_functional_1d(ou_apply(h, t, order=q), q)
+        pts, wts = gaussian_tensor_rule(q, 1)
+        hv = _eval_factor(h, pts)
+        mass = float(np.dot(hv, wts))
+        s_evolved = _entropy_sum(_eval_factor(ou_apply(h, t, order=q), pts), wts)
         blend = math.exp(-2.0 * t)
-        return blend * s_h + (1.0 - blend) * mass * math.log(mass) - s_evolved
+        return blend * _entropy_sum(hv, wts) + (1.0 - blend) * mass * math.log(mass) - s_evolved
 
     return _two_order_verdict(margin_at, order)
 
@@ -189,14 +190,6 @@ class BLDatum:
             raise ValueError(f"weighted maps miss the identity by {defect!r}")
 
 
-def _eval_factor(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a marginal factor on points of shape (n, d), d possibly 0."""
-    if pts.shape[1] == 0:
-        val = float(np.asarray(fn(np.zeros((1, 0)))).ravel()[0])
-        return np.full(pts.shape[0], val)
-    return np.asarray(fn(pts), dtype=float).ravel()
-
-
 def bl_inequality_check(
     datum: BLDatum, functions: Sequence, order: int = 24
 ) -> InequalityCheck:
@@ -214,13 +207,9 @@ def bl_inequality_check(
         joint = np.ones(len(pts))
         rhs = 1.0
         for b, c, fn in zip(datum.maps, datum.weights, functions, strict=True):
-            vals = np.clip(_eval_factor(fn, pts @ b.T), 0.0, None)
-            joint *= vals ** c
-            mpts, mwts = gaussian_tensor_rule(q, b.shape[0])
-            marg = float(np.dot(_eval_factor(fn, mpts), mwts))
-            rhs *= marg ** c
-        lhs = float(np.dot(joint, wts))
-        return rhs - lhs
+            joint *= _eval_factor(fn, pts @ b.T) ** c
+            rhs *= gaussian_average(fn, q, b.shape[0]) ** c
+        return rhs - float(np.dot(joint, wts))
 
     return _two_order_verdict(margin_at, order)
 
@@ -235,25 +224,20 @@ def entropy_dual_check(
 
     def margin_at(q: int) -> float:
         pts, wts = gaussian_tensor_rule(q, m)
-        hv = np.clip(np.asarray(h(pts), dtype=float).ravel(), 0.0, None)
-        mass = float(np.dot(hv, wts))
-        hv = hv / mass
-        logs_h = np.where(hv > 0, np.log(np.where(hv > 0, hv, 1.0)), 0.0)
-        s_h = float(np.dot(hv * logs_h, wts))
+        hv = _eval_factor(h, pts)
+        hv = hv / float(np.dot(hv, wts))
         bound = 0.0
         floored = False
         for b, c, fn in zip(datum.maps, datum.weights, functions, strict=True):
-            vals = np.asarray(_eval_factor(fn, pts @ b.T), dtype=float)
+            vals = _eval_factor(fn, pts @ b.T)
             if np.any(vals < LOG_FLOOR):
                 floored = True
                 vals = np.clip(vals, LOG_FLOOR, None)
             term = float(np.dot(hv * np.log(vals), wts))
-            mpts, mwts = gaussian_tensor_rule(q, b.shape[0])
-            marg = float(np.dot(_eval_factor(fn, mpts), mwts))
-            bound += c * (term - math.log(marg))
+            bound += c * (term - math.log(gaussian_average(fn, q, b.shape[0])))
         if floored:
             warnings.warn("marginal factor floored at 1e-300 inside a log", stacklevel=3)
-        return s_h - bound
+        return _entropy_sum(hv, wts) - bound
 
     return _two_order_verdict(margin_at, order)
 

@@ -8,6 +8,7 @@ variance 1/(2*pi).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,9 +55,10 @@ class GeneratorParams:
     def __post_init__(self):
         if not all(_is_int(n) for n in (self.M, self.N, self.dimension)):
             raise ValueError(f"M, N and dimension must be integers, got {self.M!r}, {self.N!r}, {self.dimension!r}")
-        if self.M < 1 or self.N < 1:
-            raise ValueError("particle counts must be positive")
-        if not all(math.isfinite(r) and r >= 0 for r in (self.lambda_S, self.lambda_R, self.mu)):
+        # comparing an int with a float is exact: an int past the float range fails here, not in float()
+        if not (1 <= self.M <= sys.float_info.max and 1 <= self.N <= sys.float_info.max):
+            raise ValueError("particle counts must be positive and within the float range")
+        if not all(0 <= r <= sys.float_info.max for r in (self.lambda_S, self.lambda_R, self.mu)):
             raise ValueError("rates must be finite and nonnegative")
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")

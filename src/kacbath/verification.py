@@ -37,8 +37,7 @@ class AffineSquaredPlus:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        lin = self.bias + (pts @ np.asarray(self.slope) if pts.shape[1] else 0.0)
-        return self.floor + lin ** 2
+        return self.floor + (self.bias + pts @ np.asarray(self.slope)) ** 2
 
 
 def random_positive_polynomials(datum: BLDatum, rng: np.random.Generator) -> list[AffineSquaredPlus]:
@@ -78,42 +77,30 @@ def standard_bl_data() -> list[tuple[str, GeneratorParams, BLDatum]]:
 
 
 def run_nelson_suite() -> dict:
-    margins = []
-    inconclusive = 0
-    for h in nelson_fixture_suite():
-        for t in NELSON_TIMES:
-            check = entropic_nelson_check(h, t, order=NELSON_ORDER)
-            margins.append(check.margin)
-            inconclusive += int(check.inconclusive)
+    checks = [entropic_nelson_check(h, t, order=NELSON_ORDER) for h in nelson_fixture_suite() for t in NELSON_TIMES]
     return {
-        "n_checks": len(margins),
-        "min_margin": min(margins),
-        "n_inconclusive": inconclusive,
-        "pass": bool(min(margins) >= -1e-8 and inconclusive == 0),
+        "n_checks": len(checks),
+        "min_margin": min(c.margin for c in checks),
+        "n_inconclusive": sum(c.inconclusive for c in checks),
+        "pass": all(c.passed for c in checks),
     }
 
 
 def run_bl_suite() -> dict:
-    bl_margins = []
-    dual_margins = []
-    inconclusive = 0
+    bl_checks = []
+    dual_checks = []
     for label, params, datum in standard_bl_data():
         funcs = random_positive_polynomials(datum, np.random.default_rng(BL_SEED))
-        check = bl_inequality_check(datum, funcs, order=BL_ORDER)
-        bl_margins.append(check.margin)
-        inconclusive += int(check.inconclusive)
+        bl_checks.append(bl_inequality_check(datum, funcs, order=BL_ORDER))
         h = HeatFlowFunction.gaussian(1.2, center=np.full(datum.ambient_dim, 0.2))
-        dual = entropy_dual_check(datum, funcs, h, order=BL_ORDER)
-        dual_margins.append(dual.margin)
-        inconclusive += int(dual.inconclusive)
+        dual_checks.append(entropy_dual_check(datum, funcs, h, order=BL_ORDER))
+    checks = bl_checks + dual_checks
     return {
-        "n_checks": len(bl_margins) + len(dual_margins),
-        "min_bl_margin": min(bl_margins),
-        "min_dual_margin": min(dual_margins),
-        "n_inconclusive": inconclusive,
-        "pass": bool(
-            min(bl_margins) >= -1e-8 and min(dual_margins) >= -1e-8 and inconclusive == 0
-        ),
+        "n_checks": len(checks),
+        "min_bl_margin": min(c.margin for c in bl_checks),
+        "min_dual_margin": min(c.margin for c in dual_checks),
+        "n_inconclusive": sum(c.inconclusive for c in checks),
+        "pass": all(c.passed for c in checks),
     }
 
 

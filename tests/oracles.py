@@ -1,6 +1,7 @@
 """Reference implementations that only the tests use: one collision on one
 velocity vector, the Gaussian L^p norm in one dimension, the Gaussian marginal
-check of a word's blocks, and frozen copies of the collision and initial draws."""
+check of a word's blocks, and frozen copies of the collision and initial draws
+and of the sphere rule's construction loop."""
 import math
 from dataclasses import dataclass
 
@@ -147,3 +148,20 @@ def gaussian_system_block_reference(kind: str, params, rng: np.random.Generator,
         variances = np.full(d * M, s)
     means = np.asarray(mean, dtype=float) if kind == "shifted_gaussian" else np.zeros(d * M)
     return means + rng.normal(size=(size, d * M)) * np.sqrt(variances)
+
+
+def sphere_quadrature_reference(polar_order: int, azimuthal_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen per-polar-node loop that built `build_sphere_quadrature`'s nodes and weights."""
+    u, w = np.polynomial.legendre.leggauss(polar_order)
+    phis = np.pi * np.arange(2 * azimuthal_count) / azimuthal_count
+    sin_theta = np.sqrt(1.0 - u * u)
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
+    nodes = np.empty((polar_order * 2 * azimuthal_count, 3))
+    weights = np.empty(len(nodes))
+    for i in range(polar_order):
+        sl = slice(i * 2 * azimuthal_count, (i + 1) * 2 * azimuthal_count)
+        nodes[sl, 0] = sin_theta[i] * cos_phi
+        nodes[sl, 1] = sin_theta[i] * sin_phi
+        nodes[sl, 2] = u[i]
+        weights[sl] = w[i] / (4.0 * azimuthal_count)
+    return nodes, weights

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import kacbath
 from kacbath.cli import main
-from kacbath.config import ConfigError, canonical_hash, load_config, parse_config
+from kacbath.config import (MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError, canonical_hash, load_config,
+                            parse_config)
 from kacbath.output import read_snapshots, write_snapshots
 
 BASE_CONFIG = {
@@ -364,6 +365,7 @@ NAN, INF = float("nan"), float("inf")
 SMALL_ENSEMBLE = {"n_traj": 10, "t_grid": [0, 1], "seed": 1}
 HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dimension": 1}
 BASE_PARAMS = BASE_CONFIG["params"]
+HUGE_BATH = {"M": 2, "N": 10 ** 18, "lambda_S": 0.0, "lambda_R": 0.0, "mu": 0.0, "dimension": 1}
 TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform law
 
 
@@ -420,6 +422,10 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
     ("envelope", {"rho": {"type": "atoms", "atoms": [["1.5707963267948966", "0.5"], [-1.5707963267948966, 0.5]]}}, []),
     ("envelope", {"rho": {"type": "density_table", "thetas": ["-1", "1"], "values": [TABLE_DENSITY, TABLE_DENSITY]}}, []),
     ("envelope", {"initial": {"kind": "shifted_gaussian", "mean": ["0.1", 0.0]}}, []),
+    ("simulate", {"params": HUGE_BATH, "ensemble": SMALL_ENSEMBLE}, []),
+    ("entropy", {"params": HUGE_BATH, "ensemble": SMALL_ENSEMBLE}, []),
+    ("verify-sum-rule", {}, ["--k", str(int(MAX_EVENTS_PER_TRAJECTORY) + 1), "--n", "100"]),
+    ("verify-sum-rule", {}, ["--k", "1", "--n", str(MAX_TRAJECTORIES + 1)]),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -430,7 +436,8 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
         "M-true", "M-string", "N-fraction", "dimension-fraction", "n_hot-fraction", "seed-fraction",
         "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
-        "s-string", "atom-string", "table-string", "mean-string"])
+        "s-string", "atom-string", "table-string", "mean-string", "N-1e18-simulate", "N-1e18-entropy",
+        "sum-rule-k-above-cap", "sum-rule-n-above-cap"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]
@@ -441,6 +448,13 @@ def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag["error"] == "config"
+
+
+def test_cli_envelope_runs_where_the_state_would_not_fit(tmp_path):
+    # the coordinate cap guards the simulated state; the envelope is closed form
+    cfg = write_config(tmp_path, {"params": HUGE_BATH})
+    assert main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "envelope.csv").exists()
 
 
 @pytest.mark.parametrize("content", [None, "directory", b"\xff\xfe{"], ids=["missing", "directory", "not-utf8"])

@@ -8,6 +8,7 @@ from kacbath import AngleDistribution, build_discrete_angle_measure, build_spher
 from kacbath.discretize import MeasureConstructionError, fejer_smooth
 from kacbath.verification import angle_measure_report, sphere_rule_report
 from tests.conftest import raised_cosine
+from tests.oracles import sphere_quadrature_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,8 +139,9 @@ def test_measure_law_is_atomic_with_its_own_sums(k, density):
 
 def test_sphere_two_point_polar_rule():
     rule = build_sphere_quadrature(2, 2)
-    assert np.allclose(np.unique(rule.polar_nodes), [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
-    assert np.allclose(rule.polar_weights, [1.0, 1.0], atol=1e-14)
+    polar_nodes, polar_weights = rule.nodes[::4, 2], rule.weights[::4] * 8
+    assert np.allclose(np.unique(polar_nodes), [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
+    assert np.allclose(polar_weights, [1.0, 1.0], atol=1e-14)
     assert abs(rule.mass - 1.0) < 1e-14
 
 
@@ -151,12 +153,21 @@ def test_sphere_second_moment_identity(L, K):
     assert abs(rule.mass - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("L", range(2, 9))
+def test_sphere_rule_matches_the_loop_bit_for_bit(L):
+    for K in range(2, 9):
+        rule = build_sphere_quadrature(L, K)
+        nodes, weights = sphere_quadrature_reference(L, K)
+        assert rule.nodes.tobytes() == nodes.tobytes(), K
+        assert rule.weights.tobytes() == weights.tobytes(), K
+
+
 def test_sphere_polar_moments():
     # integral of cos^2 against the polar rule with the sin jacobian is 2/3;
     # integral of sin^3 likewise 4/3 (both exact from degree-2 polynomials)
     for L in range(2, 9):
         rule = build_sphere_quadrature(L, 2)
-        u, w = rule.polar_nodes, rule.polar_weights
+        u, w = rule.nodes[::4, 2], rule.weights[::4] * 8
         assert abs(np.dot(w, u ** 2) - 2.0 / 3.0) < 1e-13
         assert abs(np.dot(w, 1.0 - u ** 2) - 4.0 / 3.0) < 1e-13
 

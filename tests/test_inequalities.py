@@ -15,13 +15,12 @@ from kacbath import (
 )
 from kacbath.inequalities import (
     HEAT_FLOW_LIMIT_TIME,
-    entropy_functional_1d,
-    gaussian_integral_1d,
     _lebesgue_marginal_integral,
+    gaussian_average,
     heat_evolve,
     nelson_fixture_suite,
 )
-from kacbath.quadrature import tensor_rule
+from kacbath.quadrature import gaussian_tensor_rule, tensor_rule
 from kacbath.verification import (
     HEAT_FLOW_TIMES,
     gaussian_heat_functions,
@@ -58,8 +57,8 @@ def test_ou_fixes_constants_and_their_norms():
 
 def test_ou_preserves_gaussian_mass():
     for h in (TestFunction1D.gaussian_bump(0.8, 0.4), TestFunction1D.polynomial_bump((0.5, 1.0))):
-        before = gaussian_integral_1d(h)
-        after = gaussian_integral_1d(ou_apply(h, 0.75))
+        before = gaussian_average(h, 96, 1)
+        after = gaussian_average(ou_apply(h, 0.75), 96, 1)
         assert abs(after - before) < 1e-10
 
 
@@ -97,15 +96,44 @@ def test_nelson_strictly_positive_margin_for_bump():
 
 def test_nelson_long_time_limit():
     h = TestFunction1D.gaussian_bump(1.0, 0.3)
-    mass = gaussian_integral_1d(h)
+    mass = gaussian_average(h, 96, 1)
     evolved = ou_apply(h, 20.0, order=96)
-    s_inf = entropy_functional_1d(evolved, 96)
+    x, w = gaussian_tensor_rule(96, 1)
+    v = evolved(x[:, 0])
+    s_inf = float(np.dot(v * np.log(v), w))
     assert abs(s_inf - mass * math.log(mass)) < 1e-6
 
 
 def test_nelson_rejects_signed_profiles():
     with pytest.raises(ValueError):
         entropic_nelson_check(TestFunction1D.coordinate(), 0.3)
+
+
+def _signed(pts):
+    return np.atleast_2d(pts)[:, 0] + 0.5
+
+
+_TWO_LINES = BLDatum(maps=[np.eye(1), np.eye(1)], weights=np.array([0.5, 0.5]))
+
+
+def test_signed_integrands_raise_instead_of_a_verdict():
+    # each of these returned a margin: nothing read the sign off the values
+    with pytest.raises(ValueError, match="nonnegative"):
+        entropic_nelson_check(TestFunction1D(fn=lambda x: x + 0.5), 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bl_inequality_check(_TWO_LINES, [_signed, _signed])
+    ones = lambda pts: np.ones(len(np.atleast_2d(pts)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        entropy_dual_check(_TWO_LINES, [ones, ones], _signed)
+
+
+def test_gaussian_average_reads_the_sign_and_the_zero_dimensional_constant():
+    assert gaussian_average(lambda pts: np.full(len(pts), 2.5), 12, 0) == 2.5
+    assert gaussian_average(TestFunction1D.constant(2.0), 12, 1) == pytest.approx(2.0, rel=1e-14)
+    for fn, dim in ((lambda pts: np.full(len(pts), -1.0), 0), (TestFunction1D.constant(-1.0), 1),
+                    (lambda pts: np.full(len(pts), np.nan), 2)):
+        with pytest.raises(ValueError):
+            gaussian_average(fn, 12, dim)
 
 
 def test_nelson_fixture_suite_margins():

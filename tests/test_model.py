@@ -50,6 +50,16 @@ def test_params_need_integer_counts_and_dimension(field, value):
     assert GeneratorParams(**{**args, field: np.int64(value)}) == GeneratorParams(**{**args, field: int(value)})
 
 
+@pytest.mark.parametrize("field, value", [("lambda_S", 10 ** 400), ("M", 10 ** 400), ("N", 10 ** 400),
+                                          ("mu", float("nan")), ("lambda_R", float("inf"))],
+                         ids=["lambda_S-401-digits", "M-401-digits", "N-401-digits", "mu-nan", "lambda_R-inf"])
+def test_params_reject_values_past_the_float_range(field, value):
+    # 10**400 used to end in OverflowError, from math.isfinite for a rate and from total_rate for M
+    args = dict(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0)
+    with pytest.raises(ValueError):
+        GeneratorParams(**{**args, field: value})
+
+
 def test_total_rate_and_kind_split(params28):
     assert params28.total_rate == pytest.approx(1.0 + 4.0 + 2.0, abs=0)
     assert params28.kind_rates == (1.0, 4.0, 2.0)
