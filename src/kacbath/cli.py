@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (MAX_EVENTS_PER_TRAJECTORY, MAX_STATE_COORDINATES, MAX_TRAJECTORIES, ConfigError,
+from .config import (MAX_ANGLE_ORDER, MAX_EVENTS_PER_TRAJECTORY, MAX_SPHERE_NODES, MAX_SPHERE_ORDER,
+                     MAX_STATE_COORDINATES, MAX_SUM_RULE_BYTES, MAX_TRAJECTORIES, ConfigError,
                      ExperimentConfig, load_config)
 from .discretize import build_discrete_angle_measure, build_sphere_quadrature
 from .engine import SimulationError, estimator_rng, simulate_ensemble
@@ -28,7 +29,7 @@ from .model import InvalidDistributionError
 from .moments import envelope, envelope_poisson_sum, propagate_moments
 from .output import write_csv, write_json, write_manifest, write_snapshots
 from .verification import angle_measure_report, run_inequality_suite, sphere_rule_report
-from .words import mc_sum_rule
+from .words import mc_sum_rule, sum_rule_bytes
 
 CONFIG_FREE = {"discretize-sphere", "verify-inequalities"}
 
@@ -150,6 +151,9 @@ def cmd_verify_sum_rule(args, cfg, seed):
     _require_in_range(args, "n", 2, MAX_TRAJECTORIES)  # one word has no standard error
     if args.k > 0 and cfg.params.total_rate <= 0.0:
         raise ConfigError("words of length k >= 1 need a positive total jump rate")
+    need = sum_rule_bytes(cfg.params, args.n)
+    if need > MAX_SUM_RULE_BYTES:
+        raise ConfigError(f"the sum rule's buffers would take {need} bytes, above {MAX_SUM_RULE_BYTES}")
     estimate = mc_sum_rule(args.k, cfg.params, cfg.rho, args.n, estimator_rng(seed, args.k))
     payload = {
         "k": args.k,
@@ -166,7 +170,7 @@ def cmd_verify_sum_rule(args, cfg, seed):
 def cmd_discretize_angle(args, cfg, seed):
     if cfg.rho is None:
         raise ConfigError("discretize-angle needs a rho section")
-    _require_in_range(args, "K", 1)
+    _require_in_range(args, "K", 1, MAX_ANGLE_ORDER)
     try:  # a law within 1e-12 of unit mass can round past it on the grid
         measure = build_discrete_angle_measure(cfg.rho, args.K)
     except InvalidDistributionError as exc:
@@ -181,8 +185,8 @@ def cmd_discretize_angle(args, cfg, seed):
 
 
 def cmd_discretize_sphere(args, cfg, seed):
-    _require_in_range(args, "L", 2)
-    _require_in_range(args, "K", 2)
+    _require_in_range(args, "L", 2, MAX_SPHERE_ORDER)
+    _require_in_range(args, "K", 2, MAX_SPHERE_NODES // (2 * args.L))  # 2*K*L nodes
     rule = build_sphere_quadrature(args.L, args.K)
     report = sphere_rule_report(rule)
     rows = [(x, y, z, w) for (x, y, z), w in zip(rule.nodes.tolist(), rule.weights.tolist())]

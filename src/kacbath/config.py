@@ -18,11 +18,18 @@ from .model import THERMAL_VARIANCE, AngleDistribution, GeneratorParams, Invalid
 # trajectory, total_rate * t_max) takes 1.6 s and 1e8 trajectories of the (2,8)
 # d=1 system take about an hour; 1e4 bootstrap replicates are 200 times the default.
 # At the coordinate cap (d * (M + N) velocity coordinates per trajectory), the
-# state of one 2048-trajectory engine chunk takes 1 GiB of float64.
+# state of one 2048-trajectory engine chunk takes 1 GiB of float64, also the budget of
+# verify-sum-rule's larger buffer (words.sum_rule_bytes).  Angle order K builds dense (4K+1)^2
+# complex tables (K = 1024: 1.35 s, 583 MB peak RSS); the sphere rule has 2*K*L nodes and
+# solves an L x L eigenproblem (L = 2048: 0.74 s, about 100 MB).
 MAX_EVENTS_PER_TRAJECTORY = 1e6
 MAX_TRAJECTORIES = 10**8
 MAX_BOOTSTRAP = 10**4
 MAX_STATE_COORDINATES = 2**16
+MAX_SUM_RULE_BYTES = 2**30
+MAX_ANGLE_ORDER = 1024
+MAX_SPHERE_ORDER = 2048
+MAX_SPHERE_NODES = 2**20
 
 
 class ConfigError(ValueError):

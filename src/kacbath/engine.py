@@ -273,7 +273,10 @@ def _simulate_lockstep(params, rho, init, rng, result: EnsembleResult, rows: sli
         steps = int(due.max())
         for first in range(0, steps, block_steps):
             occurs = np.arange(first, min(first + block_steps, steps))[:, None] < due
-            lanes, i, j, param, kinds = _draw_collisions(params, rho, rng, occurs)
+            # lanes of the occurring (step, trajectory) slots, drawn compact in row-major order:
+            # step e's collisions are the e-th run of occurs.sum(axis=1) consecutive entries
+            lanes = np.flatnonzero(occurs) % size
+            i, j, kinds, param = sample_collisions(params, rho, rng, len(lanes))
             counts += np.bincount(3 * lanes + kinds, minlength=3 * size).reshape(size, 3)
             ends = np.cumsum(occurs.sum(axis=1)).tolist()
             for start, end in zip([0] + ends, ends):
@@ -283,25 +286,6 @@ def _simulate_lockstep(params, rho, init, rng, result: EnsembleResult, rows: sli
         _check_energy(energy, e0, t)
         if energies is not None:
             energies[:, w] = energy
-
-
-def _draw_collisions(params, rho, rng, occurs: np.ndarray):
-    """Collisions for the True slots (step, trajectory) of `occurs`, shape (steps, B).
-
-    They are drawn compact, in row-major order: pairs, then angles or axes.
-    Returns the trajectory (lane), i and j, shape (m,), of each, the parameters
-    (2 or 3, m) as `collide` takes them, and the kinds; step e's collisions are
-    the e-th run of occurs.sum(axis=1) consecutive entries.
-    """
-    slots = np.flatnonzero(occurs)
-    lanes = slots % occurs.shape[1]
-    i, j, kinds, drawn = sample_collisions(params, rho, rng, len(slots))
-    if params.dimension == 3:
-        return lanes, i, j, drawn.T, kinds
-    param = np.empty((2, len(slots)))  # cos and sin written in place: no stacking copy
-    np.cos(drawn, out=param[0])
-    np.sin(drawn, out=param[1])
-    return lanes, i, j, param, kinds
 
 
 def _check_energy(energy: np.ndarray, e0: np.ndarray, t: float) -> None:

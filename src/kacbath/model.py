@@ -374,14 +374,22 @@ def sample_pairs_array(
     return np.minimum(a, b, out=a), hi, kinds
 
 
+def rotation_rows(thetas: np.ndarray) -> np.ndarray:
+    """The d=1 `collide` parameters of angles of shape S: cos and sin in one (2, *S) array."""
+    rows = np.empty((2, *np.shape(thetas)))
+    np.cos(thetas, out=rows[0])
+    np.sin(thetas, out=rows[1])
+    return rows
+
+
 def sample_collisions(
     params: GeneratorParams, rho: AngleDistribution | None, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`size` i.i.d. jump-chain collisions: the pairs first (0-based i, j and kinds, as
-    `sample_pairs_array`), then their angles (size,) from rho in d=1 or unit axes (size, 3)
-    in d=3.  The engine and the sum rule both draw through here."""
+    """`size` i.i.d. jump-chain collisions as `collide` takes them: the pairs (0-based i, j and
+    kinds, as `sample_pairs_array`), then the angles from rho as (2, size) `rotation_rows` in d=1
+    or (3, size) unit axes in d=3.  The engine and the sum rule both draw through here."""
     if params.dimension == 1 and rho is None:
         raise ValueError("an angle distribution is required in dimension 1")
     i, j, kinds = sample_pairs_array(params, rng, size)
-    param = rho.sample(rng, size) if params.dimension == 1 else uniform_sphere(rng, size)
+    param = rotation_rows(rho.sample(rng, size)) if params.dimension == 1 else uniform_sphere(rng, size).T
     return i, j, kinds, param

@@ -10,8 +10,8 @@ A batch of words is realized batch-last, as `model.collide` takes it: one
 (d*n, cols, B) array with one lane per word.  The sum rule forms A A^T on that
 layout, one column of A at a time over all words, in the pairing of numpy's
 batched product so that its bits are kept (`_gram_batch_last`).  At k=8, with
-20000 words drawn at a time, the sum rule's numpy allocations peak at about 32
-bytes per drawn collision in d=1 (M,N)=(2,4) and 56 in d=3 (1,2), most of it
+20000 words drawn at a time, the sum rule's numpy allocations peak at about 48
+bytes per drawn collision in d=1 (M,N)=(2,4) and 55 in d=3 (1,2), most of it
 the draw.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import (
     AngleDistribution,
     GeneratorParams,
     collide,
+    rotation_rows,
     sample_collisions,
 )
 from .moments import sum_rule_constant
@@ -36,6 +37,12 @@ GAMMA_CLAMP = 1e-10
 MAX_BL_TERMS = 10 ** 6  # cap on the (word, subset) terms build_bl_datum enumerates
 _DRAW_WORDS = 20000  # words mc_sum_rule draws at once; part of the random stream, as engine._CHUNK is
 _SLICE_WORDS = 1024  # words mc_sum_rule realizes at once: 1.5 MB in d=3 (2,8), within a 2 MB L2
+
+
+def sum_rule_bytes(params: GeneratorParams, n_words: int) -> int:
+    """Bytes of mc_sum_rule's larger float64 buffer: one draw's products or one realize slice."""
+    dm = params.dimension * params.M
+    return 8 * dm * max(min(n_words, _DRAW_WORDS) * dm, params.dimension * params.n_particles * _SLICE_WORDS)
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,7 @@ class SingularSpectrum:
 
 def realize_inverse_1d(i0: np.ndarray, j0: np.ndarray, thetas: np.ndarray, n: int) -> np.ndarray:
     """Inverse matrices of words given by 0-based pair arrays of shape (B, k)."""
-    w = _realize_inverse(i0, j0, np.atleast_2d(thetas), n, 1)
+    w = _realize_inverse(i0, j0, rotation_rows(thetas), n, 1)
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
@@ -59,35 +66,28 @@ def realize_inverse_3d(i0: np.ndarray, j0: np.ndarray, omegas: np.ndarray, n: in
     omegas has shape (B, k, 3); each collision is its own inverse, acting on
     the two 3-coordinate blocks of the pair.
     """
-    if omegas.ndim == 2:
-        omegas = omegas[None, :, :]
-    w = _realize_inverse(i0, j0, omegas, n, 3)
+    w = _realize_inverse(i0, j0, np.moveaxis(omegas, -1, 0), n, 3)
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
 def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, d: int,
                      cols: int | None = None) -> np.ndarray:
-    """Row operations of the collisions in word order, applied to the first `cols` columns
-    (default all) of identity matrices.  Each column is operated on alone, so the bits are
-    the full matrix's.  The words are realized batch-last, one `collide` lane per word, and
-    returned as (d*n, cols, B).  param holds angles (B, k) in d=1 and unit axes (B, k, 3) in d=3."""
+    """Inverse words on the first `cols` columns (default all) of identity matrices, batch-last
+    as (d*n, cols, B); each column is operated on alone, so the bits are the full matrix's.
+    The words come as `collide` takes them, pairs (B, k) and parameters (2 or 3, B, k), or (k,)
+    and (2 or 3, k) for one word.  Each collision applies in word order with its pair swapped:
+    bit for bit the rotation by -theta in d=1 (x - y is x + (-y)), the same exchange in d=3 (a - b is -(b - a))."""
     i0 = np.atleast_2d(i0)
     j0 = np.atleast_2d(j0)
     batch, k = i0.shape
-    if d == 1:  # the inverse of a word rotates each of its pairs back by theta: (cos, -sin)
-        angles = param.T
-        param = np.empty((k, 2, batch))
-        np.cos(angles, out=param[:, 0])
-        np.negative(np.sin(angles, out=param[:, 1]), out=param[:, 1])
-    else:
-        param = np.ascontiguousarray(param.transpose(1, 2, 0))
+    param = param.reshape(len(param), batch, k)
     cols = cols or d * n
     w = np.zeros((d * n, cols, batch))
     w[np.arange(cols), np.arange(cols)] = 1.0
     blocks = w.reshape(n, d, cols, batch)
     lanes = np.arange(batch)
     for step in range(k):
-        collide(blocks, lanes, i0[:, step], j0[:, step], param[step])
+        collide(blocks, lanes, j0[:, step], i0[:, step], param[:, :, step])
     return w
 
 
@@ -147,8 +147,7 @@ def mc_sum_rule(
     """
     if n_words < 2:
         raise ValueError("n_words must be >= 2: one word has no standard error")
-    if params.dimension == 1 and rho is None:
-        raise ValueError("an angle distribution is required in dimension 1")
+    predicted = sum_rule_constant(k, params, rho)  # raises for a missing angle law in d=1
     dm = params.dimension * params.M
     total = np.zeros((dm, dm))
     total_sq = np.zeros((dm, dm))
@@ -163,7 +162,6 @@ def mc_sum_rule(
     z_hat = total / n_words
     var = (total_sq - n_words * z_hat * z_hat) / (n_words - 1)
     se = np.sqrt(np.clip(var, 0.0, None) / n_words)
-    predicted = sum_rule_constant(k, params, rho)
     target = predicted * np.eye(dm)
     dev = np.abs(z_hat - target)
     off = np.abs(z_hat - np.diag(np.diag(z_hat)))
@@ -191,11 +189,11 @@ def _word_products(k: int, params: GeneratorParams, rho: AngleDistribution | Non
     del kinds  # the words need none: free them before realizing
     i0 = i0.reshape(b, k)
     j0 = j0.reshape(b, k)
-    param = param.reshape(b, k, *param.shape[1:])
+    param = param.reshape(-1, b, k)
     out = np.empty((b, dm, dm))
     for s in range(0, b, _SLICE_WORDS):
         sl = slice(s, s + _SLICE_WORDS)
-        w = _realize_inverse(i0[sl], j0[sl], param[sl], n, d, dm)
+        w = _realize_inverse(i0[sl], j0[sl], param[:, sl], n, d, dm)
         _gram_batch_last(w[:dm], out[sl])
     return out
 
@@ -215,12 +213,13 @@ def _gram_batch_last(a: np.ndarray, out: np.ndarray) -> None:
     np.add(lanes[0], lanes[1], out=out.transpose(1, 2, 0))
 
 
-def _atomic_parameters(measure) -> tuple[list, np.ndarray, int]:
-    """Atoms (parameter, weight) of an atomic angle law or a sphere rule."""
+def _atomic_parameters(measure) -> tuple[np.ndarray, np.ndarray, int]:
+    """Atoms of an atomic angle law or a sphere rule as `collide` takes them, (2 or 3, A),
+    their weights and the dimension."""
     if isinstance(measure, SphereQuadrature):
-        return list(measure.nodes), measure.weights, 3
+        return measure.nodes.T, measure.weights, 3
     if isinstance(measure, AngleDistribution) and measure.kind == "atoms":
-        return list(measure.atom_thetas), measure.atom_weights, 1
+        return rotation_rows(measure.atom_thetas), measure.atom_weights, 1
     raise TypeError("need an atomic angle law (a discrete angle measure's .law) or a sphere rule")
 
 
@@ -240,23 +239,21 @@ def build_bl_datum(k: int, params: GeneratorParams, measure) -> BLDatum:
         (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
         if params.pair_weight(i, j) > 0.0
     ]
-    n_terms = (len(pair_list) * len(atoms)) ** k * 2 ** dm
+    n_terms = (len(pair_list) * atoms.shape[1]) ** k * 2 ** dm
     if n_terms > MAX_BL_TERMS:
         raise ValueError(f"enumeration would produce {n_terms} terms (limit {MAX_BL_TERMS})")
-    c_km = sum_rule_constant(k, params, measure if d == 1 else None)
+    c_km = sum_rule_constant(k, params, measure if isinstance(measure, AngleDistribution) else None)
     maps: list[np.ndarray] = []
     weights: list[float] = []
     for pair_choice in itertools.product(range(len(pair_list)), repeat=k):
         lam_weight = math.prod(params.pair_weight(*pair_list[p]) for p in pair_choice)
         i0 = np.array([[pair_list[p][0] - 1 for p in pair_choice]], dtype=np.int64)
         j0 = np.array([[pair_list[p][1] - 1 for p in pair_choice]], dtype=np.int64)
-        for atom_choice in itertools.product(range(len(atoms)), repeat=k):
+        for atom_choice in itertools.product(range(atoms.shape[1]), repeat=k):
             w_word = lam_weight * math.prod(float(atom_weights[a]) for a in atom_choice)
             if w_word == 0.0:
                 continue
-            param = np.array([[atoms[a] for a in atom_choice]], dtype=float)
-            param = param.reshape((1, k) if d == 1 else (1, k, 3))
-            inv = _realize_inverse(i0, j0, param, n, d)[:, :, 0]
+            inv = _realize_inverse(i0, j0, atoms[:, None, list(atom_choice)], n, d)[:, :, 0]
             spectrum = decompose(inv, dm)
             subsets, subset_w = sigma_subset_weights(spectrum.gammas)
             for sigma, sw in zip(subsets, subset_w):

@@ -426,6 +426,11 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
     ("entropy", {"params": HUGE_BATH, "ensemble": SMALL_ENSEMBLE}, []),
     ("verify-sum-rule", {}, ["--k", str(int(MAX_EVENTS_PER_TRAJECTORY) + 1), "--n", "100"]),
     ("verify-sum-rule", {}, ["--k", "1", "--n", str(MAX_TRAJECTORIES + 1)]),
+    ("verify-sum-rule", {"params": {**HUGE_BATH, "M": 10 ** 18, "N": 1}, "initial": None}, ["--k", "0", "--n", "2"]),
+    ("verify-sum-rule", {"params": {**BASE_PARAMS, "N": 10 ** 18}, "ensemble": None}, ["--k", "1", "--n", "2"]),
+    ("discretize-angle", {}, ["--K", "1025"]),
+    ("discretize-sphere", None, ["--L", "2049", "--K", "2"]),
+    ("discretize-sphere", None, ["--L", "512", "--K", "1025"]),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -437,7 +442,8 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
         "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
         "s-string", "atom-string", "table-string", "mean-string", "N-1e18-simulate", "N-1e18-entropy",
-        "sum-rule-k-above-cap", "sum-rule-n-above-cap"])
+        "sum-rule-k-above-cap", "sum-rule-n-above-cap", "sum-rule-M-1e18", "sum-rule-N-1e18", "angle-K-1025",
+        "sphere-L-2049", "sphere-nodes-above-cap"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]

@@ -15,6 +15,7 @@ from kacbath.engine import trajectory_rng
 from kacbath.model import (
     _SPHERE_ROWS,
     InvalidDistributionError,
+    rotation_rows,
     sample_collisions,
     sample_pair_kinds,
     sample_pairs_array,
@@ -343,7 +344,7 @@ def test_sample_collisions_is_pairs_then_parameters(d, uniform_rho):
     got = sample_collisions(p, uniform_rho if d == 1 else None, trajectory_rng(17, 0), 1001)
     rng = trajectory_rng(17, 0)
     want = (*sample_pairs_array(p, rng, 1001),
-            uniform_rho.sample(rng, 1001) if d == 1 else uniform_sphere(rng, 1001))
+            rotation_rows(uniform_rho.sample(rng, 1001)) if d == 1 else uniform_sphere(rng, 1001).T)
     for g, w in zip(got, want, strict=True):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 

@@ -18,16 +18,16 @@ from kacbath import (
     sum_rule_constant,
 )
 from kacbath.engine import trajectory_rng
-from kacbath.model import sample_collisions, sample_pairs_array, uniform_sphere
+from kacbath.model import rotation_rows, sample_collisions, sample_pairs_array, uniform_sphere
 from kacbath.words import _realize_inverse, realize_inverse_1d, realize_inverse_3d
 from tests.oracles import gaussian_marginal_check, rotate_pair_1d
 
 
 def _random_word(k, params, rho, rng):
-    """One word of k collisions: its pairs, parameters and realized inverse matrix."""
+    """One word of k collisions: its pairs, parameters (2 or 3, k) and realized inverse matrix."""
     i0, j0, _, param = sample_collisions(params, rho, rng, k)
     pairs = [(int(i) + 1, int(j) + 1) for i, j in zip(i0, j0)]
-    inv = _realize_inverse(i0[None], j0[None], param[None], params.n_particles, params.dimension)[:, :, 0]
+    inv = _realize_inverse(i0[None], j0[None], param[:, None], params.n_particles, params.dimension)[:, :, 0]
     return pairs, param, inv
 
 
@@ -82,7 +82,8 @@ def test_single_system_rotation_keeps_unit_spectrum(params24, rng):
 
 def test_realize_matches_kernel_application(params24, uniform_rho, rng):
     # applying the inverse word matrix equals composing the collision maps backwards
-    pairs, thetas, inv = _random_word(6, params24, uniform_rho, rng)
+    pairs, (c, s), inv = _random_word(6, params24, uniform_rho, rng)
+    thetas = np.arctan2(s, c)
     z = rng.normal(size=6)
     out = z.copy()
     # the realized matrix is the product in word order, so the last factor acts first
@@ -183,8 +184,9 @@ def test_column_limited_realizer_is_first_columns_of_full(d, uniform_rho):
     else:
         param = uniform_sphere(rng, batch * k).reshape(batch, k, 3)
         full = realize_inverse_3d(i0, j0, param, n)
+    rows = rotation_rows(param) if d == 1 else param.transpose(2, 0, 1)
     for cols in range(1, d * n + 1):
-        assert np.array_equal(_realize_inverse(i0, j0, param, n, d, cols).transpose(2, 0, 1), full[:, :, :cols])
+        assert np.array_equal(_realize_inverse(i0, j0, rows, n, d, cols).transpose(2, 0, 1), full[:, :, :cols])
 
 
 def _full_matrix_sum_rule(k, params, rho, n_words, rng, chunk):
@@ -238,9 +240,13 @@ def test_word_products_match_einsum_bit_for_bit(d, M, uniform_rho):
     rho = uniform_rho if d == 1 else None
     k, b, dm = 5, words._SLICE_WORDS + 37, d * M
     got = words._word_products(k, p, rho, trajectory_rng(19, dm), b)
-    i0, j0, _, param = sample_collisions(p, rho, trajectory_rng(19, dm), b * k)
-    realize = realize_inverse_1d if d == 1 else realize_inverse_3d
-    inv = realize(i0.reshape(b, k), j0.reshape(b, k), param.reshape(b, k, *param.shape[1:]), p.n_particles)
+    rng = trajectory_rng(19, dm)
+    i0, j0, _ = sample_pairs_array(p, rng, b * k)
+    i0, j0 = i0.reshape(b, k), j0.reshape(b, k)
+    if d == 1:
+        inv = realize_inverse_1d(i0, j0, rho.sample(rng, b * k).reshape(b, k), p.n_particles)
+    else:
+        inv = realize_inverse_3d(i0, j0, uniform_sphere(rng, b * k).reshape(b, k, 3), p.n_particles)
     a = np.ascontiguousarray(inv[:, :dm, :dm])
     assert got.tobytes() == np.einsum("bij,bkj->bik", a, a).tobytes()
 
