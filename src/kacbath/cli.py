@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (MAX_ANGLE_ORDER, MAX_EVENTS_PER_TRAJECTORY, MAX_SPHERE_NODES, MAX_SPHERE_ORDER,
-                     MAX_STATE_COORDINATES, MAX_SUM_RULE_BYTES, MAX_TRAJECTORIES, ConfigError,
+from .config import (MAX_ANGLE_ORDER, MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_SPHERE_NODES,
+                     MAX_SPHERE_ORDER, MAX_STATE_COORDINATES, MAX_TRAJECTORIES, ConfigError,
                      ExperimentConfig, load_config)
 from .discretize import build_discrete_angle_measure, build_sphere_quadrature
-from .engine import SimulationError, estimator_rng, simulate_ensemble
+from .engine import SimulationError, estimator_rng, result_bytes, simulate_ensemble
 from .entropy import (DEFAULT_BOOTSTRAP, DEFAULT_K, decay_check, gaussian_initial_entropy,
                       relative_entropy_to_thermal)
 from .model import InvalidDistributionError
@@ -94,7 +94,11 @@ def _run_ensemble(cfg: ExperimentConfig, seed: int, workers: int):
     if coordinates > MAX_STATE_COORDINATES:
         raise ConfigError(f"d * (M + N) = {coordinates} velocity coordinates per trajectory exceed "
                           f"MAX_STATE_COORDINATES = {MAX_STATE_COORDINATES}")
-    return simulate_ensemble(cfg.params, cfg.rho, cfg.initial, replace(cfg.ensemble, seed=seed), workers=workers)
+    ensemble = cfg.ensemble
+    need = result_bytes(cfg.params, ensemble.n_traj, len(ensemble.t_grid), "energies" in ensemble.record)
+    if need > MAX_BUFFER_BYTES:
+        raise ConfigError(f"the ensemble's result arrays would take {need} bytes, above {MAX_BUFFER_BYTES}")
+    return simulate_ensemble(cfg.params, cfg.rho, cfg.initial, replace(ensemble, seed=seed), workers=workers)
 
 
 def cmd_simulate(args, cfg, seed):
@@ -151,9 +155,9 @@ def cmd_verify_sum_rule(args, cfg, seed):
     _require_in_range(args, "n", 2, MAX_TRAJECTORIES)  # one word has no standard error
     if args.k > 0 and cfg.params.total_rate <= 0.0:
         raise ConfigError("words of length k >= 1 need a positive total jump rate")
-    need = sum_rule_bytes(cfg.params, args.n)
-    if need > MAX_SUM_RULE_BYTES:
-        raise ConfigError(f"the sum rule's buffers would take {need} bytes, above {MAX_SUM_RULE_BYTES}")
+    need = sum_rule_bytes(cfg.params, args.n, args.k)
+    if need > MAX_BUFFER_BYTES:
+        raise ConfigError(f"the sum rule's buffers would take {need} bytes, above {MAX_BUFFER_BYTES}")
     estimate = mc_sum_rule(args.k, cfg.params, cfg.rho, args.n, estimator_rng(seed, args.k))
     payload = {
         "k": args.k,

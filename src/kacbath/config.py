@@ -1,4 +1,10 @@
-"""JSON experiment configuration: strict parsing into the domain dataclasses."""
+"""JSON experiment configuration: strict parsing into the domain dataclasses.
+
+Every section is parsed by one rule, `_section`: each known key's value goes through the parser
+for its JSON shape, and the parsed values go to the section's constructor as keywords.  A tagged
+section (`params.preset`, `rho.type`, `initial.kind`) looks its tag up in a table of
+(constructor, parser per key, required keys); an untagged one has the single entry None.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -6,27 +12,29 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .engine import EnsembleConfig, InitialCondition
-from .model import THERMAL_VARIANCE, AngleDistribution, GeneratorParams, InvalidDistributionError
+from .model import AngleDistribution, GeneratorParams
 
 
 # Caps on the work one config may ask for, so that finite but huge values exit 2
 # instead of running for hours or failing inside numpy.  On a 2-core Xeon, one
 # envelope_poisson_sum time point at the event cap (expected collisions per
-# trajectory, total_rate * t_max) takes 1.6 s and 1e8 trajectories of the (2,8)
-# d=1 system take about an hour; 1e4 bootstrap replicates are 200 times the default.
-# At the coordinate cap (d * (M + N) velocity coordinates per trajectory), the
-# state of one 2048-trajectory engine chunk takes 1 GiB of float64, also the budget of
-# verify-sum-rule's larger buffer (words.sum_rule_bytes).  Angle order K builds dense (4K+1)^2
+# trajectory, total_rate * t_max) takes 4.3 ms; 1e4 bootstrap replicates are 200 times
+# the default.  MAX_BUFFER_BYTES bounds the largest array of a command: an ensemble's
+# result arrays (engine.result_bytes; 10.3 million trajectories of the (2,8) d=1 system
+# at 5 times) and verify-sum-rule's larger buffer (words.sum_rule_bytes).  At the
+# coordinate cap (d * (M + N) velocity coordinates per trajectory), the state of one
+# 2048-trajectory engine chunk takes the same 1 GiB.  Angle order K builds dense (4K+1)^2
 # complex tables (K = 1024: 1.35 s, 583 MB peak RSS); the sphere rule has 2*K*L nodes and
 # solves an L x L eigenproblem (L = 2048: 0.74 s, about 100 MB).
 MAX_EVENTS_PER_TRAJECTORY = 1e6
 MAX_TRAJECTORIES = 10**8
 MAX_BOOTSTRAP = 10**4
 MAX_STATE_COORDINATES = 2**16
-MAX_SUM_RULE_BYTES = 2**30
+MAX_BUFFER_BYTES = 2**30
 MAX_ANGLE_ORDER = 1024
 MAX_SPHERE_ORDER = 2048
 MAX_SPHERE_NODES = 2**20
@@ -36,16 +44,7 @@ class ConfigError(ValueError):
     """Configuration failed to parse or validate."""
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
-def _integer(value, minimum: float, where: str, maximum: float = math.inf) -> int:
+def _integer(value, where: str, minimum: float = -math.inf, maximum: float = math.inf) -> int:
     """A JSON integer in [minimum, maximum] and in the float range; an integral float such as 4.0 counts."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or not minimum <= value <= maximum or abs(value) > sys.float_info.max:
@@ -61,112 +60,105 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _numbers(value, where: str) -> list[float]:
+    """A JSON list of numbers, as floats."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(x, where) for x in value]
+
+
 def _times(value, where: str) -> list[float]:
     """A non-empty JSON list of numbers, as floats."""
     if not (isinstance(value, list) and value):
         raise ConfigError(f"{where} must be a non-empty list of numbers, got {value!r}")
-    return [_number(t, where) for t in value]
+    return _numbers(value, where)
+
+
+def _envelope_times(value, where: str) -> list[float]:
+    """A non-empty JSON list of numbers >= 0, as floats."""
+    grid = _times(value, where)
+    if not all(t >= 0 for t in grid):
+        raise ConfigError(f"{where} must hold times >= 0, got {grid}")
+    return grid
+
+
+def _atoms(value, where: str) -> list[tuple[float, float]]:
+    """A JSON list of [angle, weight] pairs of numbers, as float pairs."""
+    if not (isinstance(value, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ConfigError(f"{where} must be a list of [angle, weight] pairs, got {value!r}")
+    return [(_number(t, f"{where} angle"), _number(p, f"{where} weight")) for t, p in value]
+
+
+def _record(value, where: str) -> tuple[str, ...]:
+    """A JSON list whose entries are all "system_velocities"; energies are API-only, as no output
+    file holds them.  Each entry is compared, not hashed, so a list entry is an error too."""
+    if not (isinstance(value, list) and all(entry == "system_velocities" for entry in value)):
+        raise ConfigError(f"{where} may list only 'system_velocities', got {value!r}")
+    return tuple(value)
+
+
+_count = partial(_integer, minimum=1)
+_COUNTS = {"M": _count, "N": _count, "dimension": _count}
+PARAMS = {
+    None: (partial(GeneratorParams, lambda_S=0.0, lambda_R=0.0, mu=0.0),
+           {**_COUNTS, "lambda_S": _number, "lambda_R": _number, "mu": _number}, {"M", "N"}),
+    "classical_kac": (GeneratorParams.classical_kac, _COUNTS, {"M", "N"}),
+}
+RHO = {
+    "uniform": (AngleDistribution.uniform, {}, set()),
+    "atoms": (lambda atoms: AngleDistribution.atoms(atoms), {"atoms": _atoms}, {"atoms"}),  # its argument is `pairs`
+    "density_table": (AngleDistribution.from_table, {"thetas": _numbers, "values": _numbers}, {"thetas", "values"}),
+}
+INITIAL = {  # custom samplers are API-only
+    "thermal": (InitialCondition.thermal, {}, set()),
+    "gaussian_product": (InitialCondition.gaussian_product, {"s": _number}, {"s"}),
+    "two_temperature": (InitialCondition.two_temperature, {"s_hot": _number, "s_cold": _number,
+                                                           "n_hot": partial(_integer, minimum=0)}, {"s_hot", "s_cold"}),
+    "shifted_gaussian": (InitialCondition.shifted_gaussian, {"mean": _numbers, "s": _number}, {"mean"}),
+}
+ENSEMBLE = {None: (EnsembleConfig, {"n_traj": partial(_integer, minimum=1, maximum=MAX_TRAJECTORIES),
+                                    "t_grid": lambda value, where: tuple(_times(value, where)),
+                                    "seed": _integer, "record": _record}, {"n_traj", "t_grid", "seed"})}
+ENTROPY = {None: (dict, {"k": _count, "bootstrap": partial(_integer, minimum=2, maximum=MAX_BOOTSTRAP)}, set())}
+ENVELOPE = {None: (dict, {"t_grid": _envelope_times}, set())}
+
+
+def _section(section: dict, where: str, kinds: dict, tag: str | None = None):
+    """The section built by the table entry of its `tag`, or by the entry None when the tag is absent."""
+    kind = section.get(tag)
+    if (tag in section and not isinstance(kind, str)) or kind not in kinds:
+        names = [name for name in kinds if name is not None]
+        raise ConfigError(f"{where}.{tag} must be one of {names}, got {kind!r}" if tag in section
+                          else f"{where} needs a '{tag}'")
+    build, parsers, required = kinds[kind]
+    fields = {key: value for key, value in section.items() if key != tag}
+    unknown = set(fields) - set(parsers)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = required - set(fields)
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    values = {key: parsers[key](value, f"{where}.{key}") for key, value in fields.items()}
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def build_params(section: dict) -> GeneratorParams:
-    _require_keys(
-        section,
-        allowed={"M", "N", "lambda_S", "lambda_R", "mu", "dimension", "preset"},
-        required={"M", "N"},
-        where="params",
-    )
-    try:
-        M, N = _integer(section["M"], 1, "params.M"), _integer(section["N"], 1, "params.N")
-        dimension = _integer(section.get("dimension", 1), 1, "params.dimension")
-        if section.get("preset") == "classical_kac":
-            extra = {"lambda_S", "lambda_R", "mu"} & set(section)
-            if extra:
-                raise ConfigError(f"preset forbids explicit rates: {sorted(extra)}")
-            return GeneratorParams.classical_kac(M, N, dimension=dimension)
-        if "preset" in section:
-            raise ConfigError(f"unknown preset {section['preset']!r}")
-        return GeneratorParams(
-            M=M,
-            N=N,
-            lambda_S=_number(section.get("lambda_S", 0.0), "params.lambda_S"),
-            lambda_R=_number(section.get("lambda_R", 0.0), "params.lambda_R"),
-            mu=_number(section.get("mu", 0.0), "params.mu"),
-            dimension=dimension,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
+    return _section(section, "params", PARAMS, "preset")
 
 
 def build_angle_distribution(section: dict) -> AngleDistribution:
-    if "type" not in section:
-        raise ConfigError("rho needs a 'type'")
-    kind = section["type"]
-    try:
-        if kind == "uniform":
-            _require_keys(section, {"type"}, {"type"}, "rho")
-            return AngleDistribution.uniform()
-        if kind == "atoms":
-            _require_keys(section, {"type", "atoms"}, {"type", "atoms"}, "rho")
-            return AngleDistribution.atoms([(_number(t, "rho.atoms angle"), _number(p, "rho.atoms weight"))
-                                            for t, p in section["atoms"]])
-        if kind == "density_table":
-            _require_keys(section, {"type", "thetas", "values"}, {"type", "thetas", "values"}, "rho")
-            return AngleDistribution.from_table([_number(t, "rho.thetas") for t in section["thetas"]],
-                                                [_number(v, "rho.values") for v in section["values"]])
-    except InvalidDistributionError as exc:
-        raise ConfigError(f"invalid rho: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed rho: {exc}") from exc
-    raise ConfigError(f"unknown rho type {kind!r}")
+    return _section(section, "rho", RHO, "type")
 
 
 def build_initial(section: dict) -> InitialCondition:
-    if "kind" not in section:
-        raise ConfigError("initial needs a 'kind'")
-    kind = section["kind"]
-    try:
-        if kind == "thermal":
-            _require_keys(section, {"kind"}, {"kind"}, "initial")
-            return InitialCondition.thermal()
-        if kind == "gaussian_product":
-            _require_keys(section, {"kind", "s"}, {"kind", "s"}, "initial")
-            return InitialCondition.gaussian_product(_number(section["s"], "initial.s"))
-        if kind == "two_temperature":
-            _require_keys(section, {"kind", "s_hot", "s_cold", "n_hot"}, {"kind", "s_hot", "s_cold"}, "initial")
-            n_hot = section.get("n_hot")
-            return InitialCondition.two_temperature(
-                _number(section["s_hot"], "initial.s_hot"), _number(section["s_cold"], "initial.s_cold"),
-                None if n_hot is None else _integer(n_hot, 0, "initial.n_hot"),
-            )
-        if kind == "shifted_gaussian":
-            _require_keys(section, {"kind", "mean", "s"}, {"kind", "mean"}, "initial")
-            mean = [_number(x, "initial.mean") for x in section["mean"]]
-            s = _number(section.get("s", THERMAL_VARIANCE), "initial.s")
-            return InitialCondition.shifted_gaussian(mean, s)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid initial: {exc}") from exc
-    raise ConfigError(f"unknown initial kind {kind!r} (custom samplers are API-only)")
+    return _section(section, "initial", INITIAL, "kind")
 
 
 def build_ensemble(section: dict) -> EnsembleConfig:
-    _require_keys(
-        section,
-        allowed={"n_traj", "t_grid", "seed", "record"},
-        required={"n_traj", "t_grid", "seed"},
-        where="ensemble",
-    )
-    try:
-        record = tuple(section.get("record", ("system_velocities",)))
-        if set(record) - {"system_velocities"}:  # energies are API-only: no output file holds them
-            raise ConfigError(f"ensemble.record may list only 'system_velocities', got {list(record)}")
-        return EnsembleConfig(
-            n_traj=_integer(section["n_traj"], 1, "ensemble.n_traj", MAX_TRAJECTORIES),
-            t_grid=tuple(_times(section["t_grid"], "ensemble.t_grid")),
-            seed=_integer(section["seed"], -math.inf, "ensemble.seed"),
-            record=record,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ensemble: {exc}") from exc
+    return _section(section, "ensemble", ENSEMBLE)
 
 
 @dataclass(frozen=True)
@@ -215,19 +207,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid initial: {exc}") from exc
     ensemble = build_ensemble(raw["ensemble"]) if "ensemble" in raw else None
-    entropy_options = dict(raw.get("entropy", {}))
-    _require_keys(entropy_options, {"k", "bootstrap"}, set(), "entropy")
-    if "k" in entropy_options:
-        entropy_options["k"] = _integer(entropy_options["k"], 1, "entropy.k")
-    if "bootstrap" in entropy_options:
-        entropy_options["bootstrap"] = _integer(entropy_options["bootstrap"], 2, "entropy.bootstrap", MAX_BOOTSTRAP)
-    envelope_options = dict(raw.get("envelope", {}))
-    _require_keys(envelope_options, {"t_grid"}, set(), "envelope")
-    if "t_grid" in envelope_options:
-        grid = _times(envelope_options["t_grid"], "envelope.t_grid")
-        if not all(t >= 0 for t in grid):
-            raise ConfigError(f"envelope.t_grid must hold times >= 0, got {grid}")
-        envelope_options["t_grid"] = grid
+    entropy_options = _section(raw.get("entropy", {}), "entropy", ENTROPY)
+    envelope_options = _section(raw.get("envelope", {}), "envelope", ENVELOPE)
     t_max = max([0.0, *envelope_options.get("t_grid", ()), *(ensemble.t_grid if ensemble is not None else ())])
     expected = params.total_rate * t_max
     if not expected <= MAX_EVENTS_PER_TRAJECTORY:  # also rejects inf and inf * 0 = nan

@@ -217,6 +217,11 @@ class EnsembleResult:
         return rows
 
 
+def result_bytes(params: GeneratorParams, n_traj: int, n_times: int, energies: bool) -> int:
+    """Bytes of the arrays `_empty_result` allocates: float64 snapshots, int64 counts and, if recorded, energies."""
+    return 8 * n_traj * (n_times * params.dimension * params.M + 3 + (n_times if energies else 0))
+
+
 def _empty_result(params: GeneratorParams, t_grid: np.ndarray, n_traj: int, energies: bool) -> EnsembleResult:
     """Rows for n_traj trajectories, counts zeroed, for `_simulate_lockstep` to fill."""
     return EnsembleResult(t_grid, np.empty((n_traj, len(t_grid), params.dimension * params.M)),

@@ -187,6 +187,8 @@ class AngleDistribution:
             raise InvalidDistributionError("table needs matching 1-D thetas/values with >= 2 knots")
         if not np.all(np.diff(th) > 0):
             raise InvalidDistributionError("table thetas must be strictly increasing")
+        if not np.all(np.abs(th) <= math.pi + 1e-15):  # the moments span the knots, the sampler [-pi, pi]
+            raise InvalidDistributionError("table thetas must lie in [-pi, pi]")
         if not np.all(va >= -1e-12):
             raise InvalidDistributionError("table density must be nonnegative")
         va = np.clip(va, 0.0, None)

@@ -39,10 +39,11 @@ _DRAW_WORDS = 20000  # words mc_sum_rule draws at once; part of the random strea
 _SLICE_WORDS = 1024  # words mc_sum_rule realizes at once: 1.5 MB in d=3 (2,8), within a 2 MB L2
 
 
-def sum_rule_bytes(params: GeneratorParams, n_words: int) -> int:
-    """Bytes of mc_sum_rule's larger float64 buffer: one draw's products or one realize slice."""
-    dm = params.dimension * params.M
-    return 8 * dm * max(min(n_words, _DRAW_WORDS) * dm, params.dimension * params.n_particles * _SLICE_WORDS)
+def sum_rule_bytes(params: GeneratorParams, n_words: int, k: int) -> int:
+    """Bytes of mc_sum_rule's largest buffer: one draw of words of k collisions at 64 bytes a collision
+    (more than the peaks the module docstring gives), its float64 products or one float64 realize slice."""
+    dm, b = params.dimension * params.M, min(n_words, _DRAW_WORDS)
+    return max(64 * b * k, 8 * dm * b * dm, 8 * dm * params.dimension * params.n_particles * _SLICE_WORDS)
 
 
 @dataclass(frozen=True)

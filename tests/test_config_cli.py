@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import kacbath
 from kacbath.cli import main
-from kacbath.config import (MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError, canonical_hash, load_config,
-                            parse_config)
+from kacbath.config import (MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError,
+                            canonical_hash, load_config, parse_config)
+from kacbath.engine import result_bytes
+from kacbath.model import GeneratorParams
+from kacbath.words import sum_rule_bytes
 from kacbath.output import read_snapshots, write_snapshots
 
 BASE_CONFIG = {
@@ -105,6 +108,13 @@ def test_initial_variants(tmp_path):
     assert cfg.initial.mean == (0.5, 0.0)
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, {"initial": {"kind": "custom"}}))
+
+
+def test_omitted_rates_are_zero(tmp_path):
+    path = write_config(tmp_path, {"params": {"M": 2, "N": 8}})
+    params = load_config(path).params
+    assert (params.lambda_S, params.lambda_R, params.mu, params.dimension) == (0.0, 0.0, 0.0, 1)
+    assert main(["envelope", "--config", str(path), "--out", str(tmp_path / "env")]) == 0
 
 
 def test_canonical_hash_is_key_order_independent():
@@ -367,6 +377,10 @@ HUGE_RATE = {"M": 2, "N": 8, "lambda_S": 1e300, "lambda_R": 1.0, "mu": 1.0, "dim
 BASE_PARAMS = BASE_CONFIG["params"]
 HUGE_BATH = {"M": 2, "N": 10 ** 18, "lambda_S": 0.0, "lambda_R": 0.0, "mu": 0.0, "dimension": 1}
 TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform law
+SUM_RULE_PARAMS = {"M": 2, "N": 4, "lambda_S": 1.0, "lambda_R": 1.0, "mu": 1.0, "dimension": 1}
+# 745 GiB of (n_traj, len(t_grid), d*M) snapshots
+HUGE_RESULT = {"params": {"M": 1000, "N": 1000, "lambda_S": 0.0, "lambda_R": 0.0, "mu": 0.0, "dimension": 1},
+               "ensemble": {"n_traj": 10 ** 6, "t_grid": list(range(100)), "seed": 1}}
 
 
 @pytest.mark.parametrize("command, overrides, extra", [
@@ -431,6 +445,9 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
     ("discretize-angle", {}, ["--K", "1025"]),
     ("discretize-sphere", None, ["--L", "2049", "--K", "2"]),
     ("discretize-sphere", None, ["--L", "512", "--K", "1025"]),
+    ("verify-sum-rule", {"params": SUM_RULE_PARAMS}, ["--k", "1000000", "--n", "20000"]),
+    ("simulate", HUGE_RESULT, []),
+    ("envelope", {"rho": {"type": "density_table", "thetas": [-4, 4], "values": [0.125, 0.125]}}, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -443,7 +460,7 @@ TABLE_DENSITY = 1.0 / (2.0 * math.pi)  # a constant table density: the uniform l
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
         "s-string", "atom-string", "table-string", "mean-string", "N-1e18-simulate", "N-1e18-entropy",
         "sum-rule-k-above-cap", "sum-rule-n-above-cap", "sum-rule-M-1e18", "sum-rule-N-1e18", "angle-K-1025",
-        "sphere-L-2049", "sphere-nodes-above-cap"])
+        "sphere-L-2049", "sphere-nodes-above-cap", "sum-rule-k-1e6", "result-745-GiB", "table-outside-pi"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]
@@ -454,6 +471,47 @@ def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag["error"] == "config"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"ensemble": {**SMALL_ENSEMBLE, "record": "system_velocities"}},
+    {"ensemble": {**SMALL_ENSEMBLE, "record": 1}},
+    {"ensemble": {**SMALL_ENSEMBLE, "record": [["system_velocities"]]}},
+    {"ensemble": {**SMALL_ENSEMBLE, "record": {"system_velocities": True}}},
+    {"rho": {"type": "atoms", "atoms": "ab"}},
+    {"rho": {"type": "atoms", "atoms": {"1.5707963267948966": 0.5, "-1.5707963267948966": 0.5}}},
+    {"rho": {"type": "atoms", "atoms": [[1.5707963267948966, 0.5, 0.0], [-1.5707963267948966, 0.5]]}},
+    {"initial": {"kind": "shifted_gaussian", "mean": 0.5}},
+    {"rho": {"type": ["uniform"]}},
+    {"initial": {"kind": ["gaussian_product"], "s": 0.3}},
+    {"params": {"M": 2, "N": 8, "preset": ["classical_kac"]}},
+    {"initial": {"kind": "two_temperature", "s_hot": 0.5, "s_cold": 0.1, "n_hot": None}},
+], ids=["record-string", "record-number", "record-list-of-lists", "record-object", "atoms-string", "atoms-object",
+        "atoms-three-numbers", "mean-number", "rho-type-list", "initial-kind-list", "preset-list", "n_hot-null"])
+def test_cli_malformed_shape_exits_2_without_outputs(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, {"ensemble": SMALL_ENSEMBLE, **overrides})
+    out = tmp_path / "never"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_sum_rule_budget_counts_the_draw(tmp_path):
+    # 20000 words of k collisions are drawn at once, at 64 bytes a collision: k = 838 fits in 1 GiB
+    params = GeneratorParams(M=2, N=4, lambda_S=1.0, lambda_R=1.0, mu=1.0)
+    assert sum_rule_bytes(params, 20000, 838) <= MAX_BUFFER_BYTES < sum_rule_bytes(params, 20000, 839)
+    cfg = write_config(tmp_path, {"params": SUM_RULE_PARAMS, "initial": None, "ensemble": None})
+    out = tmp_path / "never"
+    assert main(["verify-sum-rule", "--config", str(cfg), "--out", str(out), "--k", "839", "--n", "20000"]) == 2
+    assert not out.exists()
+
+
+def test_ensemble_budget_boundary():
+    # snapshots (n_traj, 5, 2) and counts (n_traj, 3) of the README's (2,8) system: 104 bytes a trajectory
+    params = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0)
+    n_traj = MAX_BUFFER_BYTES // 104
+    assert result_bytes(params, n_traj, 5, False) <= MAX_BUFFER_BYTES < result_bytes(params, n_traj + 1, 5, False)
+    assert result_bytes(params, 1, 5, True) == 8 * (5 * 2 + 3 + 5)
 
 
 def test_cli_envelope_runs_where_the_state_would_not_fit(tmp_path):

@@ -158,6 +158,12 @@ def test_invalid_distributions_rejected():
         AngleDistribution.from_density(lambda t: np.cos(t))  # negative values
 
 
+def test_table_knots_outside_the_circle_rejected():
+    # the moments would span [-4, 4] (sin^2 moment 0.438) while the sampler tabulates [-pi, pi] (0.5)
+    with pytest.raises(InvalidDistributionError, match=r"\[-pi, pi\]"):
+        AngleDistribution.from_table([-4.0, 4.0], [0.125, 0.125])
+
+
 @pytest.mark.parametrize(
     "build",
     (
