@@ -23,8 +23,7 @@ from .config import (MAX_ANGLE_ORDER, MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTOR
                      ExperimentConfig, load_config)
 from .discretize import build_discrete_angle_measure, build_sphere_quadrature
 from .engine import SimulationError, estimator_rng, result_bytes, simulate_ensemble
-from .entropy import (DEFAULT_BOOTSTRAP, DEFAULT_K, decay_check, gaussian_initial_entropy,
-                      relative_entropy_to_thermal)
+from .entropy import decay_check, gaussian_initial_entropy, relative_entropy_to_thermal
 from .model import InvalidDistributionError
 from .moments import envelope, envelope_poisson_sum, propagate_moments
 from .output import write_csv, write_json, write_manifest, write_snapshots
@@ -111,8 +110,7 @@ def cmd_simulate(args, cfg, seed):
 
 
 def cmd_entropy(args, cfg, seed):
-    k = cfg.entropy_options.get("k", DEFAULT_K)
-    n_boot = cfg.entropy_options.get("bootstrap", DEFAULT_BOOTSTRAP)
+    k, n_boot = cfg.entropy["k"], cfg.entropy["bootstrap"]
     if cfg.ensemble is not None and k >= cfg.ensemble.n_traj:
         raise ConfigError(f"entropy.k = {k} needs n_traj > k, got n_traj = {cfg.ensemble.n_traj}")
     result = _run_ensemble(cfg, seed, args.workers)
@@ -134,7 +132,7 @@ def cmd_entropy(args, cfg, seed):
 
 
 def cmd_envelope(args, cfg, seed):
-    t_grid = cfg.envelope_options.get("t_grid")
+    t_grid = cfg.envelope.get("t_grid")
     if t_grid is None and cfg.ensemble is not None:
         t_grid = cfg.ensemble.t_grid
     if t_grid is None:

@@ -3,7 +3,9 @@
 Every section is parsed by one rule, `_section`: each known key's value goes through the parser
 for its JSON shape, and the parsed values go to the section's constructor as keywords.  A tagged
 section (`params.preset`, `rho.type`, `initial.kind`) looks its tag up in a table of
-(constructor, parser per key, required keys); an untagged one has the single entry None.
+(constructor, parser per key, required keys); an untagged one has the single entry None.  The
+whole document is one more such entry: its keys are the sections, each parsed by `_section`, and its
+constructor is `ExperimentConfig`, which runs the checks that span sections.
 """
 from __future__ import annotations
 
@@ -11,11 +13,12 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .engine import EnsembleConfig, InitialCondition
+from .entropy import DEFAULT_BOOTSTRAP, DEFAULT_K
 from .model import AngleDistribution, GeneratorParams
 
 
@@ -119,12 +122,17 @@ INITIAL = {  # custom samplers are API-only
 ENSEMBLE = {None: (EnsembleConfig, {"n_traj": partial(_integer, minimum=1, maximum=MAX_TRAJECTORIES),
                                     "t_grid": lambda value, where: tuple(_times(value, where)),
                                     "seed": _integer, "record": _record}, {"n_traj", "t_grid", "seed"})}
-ENTROPY = {None: (dict, {"k": _count, "bootstrap": partial(_integer, minimum=2, maximum=MAX_BOOTSTRAP)}, set())}
+ENTROPY = {None: (partial(dict, k=DEFAULT_K, bootstrap=DEFAULT_BOOTSTRAP),
+                  {"k": _count, "bootstrap": partial(_integer, minimum=2, maximum=MAX_BOOTSTRAP)}, set())}
 ENVELOPE = {None: (dict, {"t_grid": _envelope_times}, set())}
 
 
 def _section(section: dict, where: str, kinds: dict, tag: str | None = None):
     """The section built by the table entry of its `tag`, or by the entry None when the tag is absent."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
+    if not all(isinstance(key, str) for key in section):
+        raise ConfigError(f"{where} keys must be strings, got {[key for key in section if not isinstance(key, str)]}")
     kind = section.get(tag)
     if (tag in section and not isinstance(kind, str)) or kind not in kinds:
         names = [name for name in kinds if name is not None]
@@ -141,37 +149,41 @@ def _section(section: dict, where: str, kinds: dict, tag: str | None = None):
     values = {key: parsers[key](value, f"{where}.{key}") for key, value in fields.items()}
     try:
         return build(**values)
+    except ConfigError:  # a check across sections, raised by ExperimentConfig itself
+        raise
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def build_params(section: dict) -> GeneratorParams:
-    return _section(section, "params", PARAMS, "preset")
 
 
 def build_angle_distribution(section: dict) -> AngleDistribution:
     return _section(section, "rho", RHO, "type")
 
 
-def build_initial(section: dict) -> InitialCondition:
-    return _section(section, "initial", INITIAL, "kind")
-
-
-def build_ensemble(section: dict) -> EnsembleConfig:
-    return _section(section, "ensemble", ENSEMBLE)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Validated experiment description plus its canonical hash."""
+    """Validated experiment description plus its canonical hash; building one runs the cross-section checks."""
 
     params: GeneratorParams
-    rho: AngleDistribution | None
-    initial: InitialCondition | None
-    ensemble: EnsembleConfig | None
-    entropy_options: dict
-    envelope_options: dict
+    rho: AngleDistribution | None = None
+    initial: InitialCondition | None = None
+    ensemble: EnsembleConfig | None = None
+    entropy: dict = field(default_factory=ENTROPY[None][0])
+    envelope: dict = field(default_factory=dict)
     raw: dict
+
+    def __post_init__(self):
+        if self.params.dimension == 1 and self.rho is None:
+            raise ConfigError("dimension 1 requires a 'rho' section")
+        if self.initial is not None:
+            try:
+                self.initial.initial_moments(self.params)  # the mean's length and n_hot must fit params
+            except ValueError as exc:
+                raise ConfigError(f"invalid initial: {exc}") from exc
+        t_max = max([0.0, *self.envelope.get("t_grid", ()), *getattr(self.ensemble, "t_grid", ())])
+        expected = self.params.total_rate * t_max
+        if not expected <= MAX_EVENTS_PER_TRAJECTORY:  # also rejects inf and inf * 0 = nan
+            raise ConfigError(f"expected collisions per trajectory total_rate * t_max = {expected:g} "
+                              f"exceed MAX_EVENTS_PER_TRAJECTORY = {MAX_EVENTS_PER_TRAJECTORY:g}")
 
     @property
     def config_hash(self) -> str:
@@ -182,47 +194,14 @@ class ExperimentConfig:
         return self.ensemble.seed if self.ensemble is not None else 0
 
 
-TOP_LEVEL_KEYS = {"params", "rho", "initial", "ensemble", "entropy", "envelope"}
+SECTIONS = {"params": partial(_section, kinds=PARAMS, tag="preset"), "rho": partial(_section, kinds=RHO, tag="type"),
+            "initial": partial(_section, kinds=INITIAL, tag="kind"), "ensemble": partial(_section, kinds=ENSEMBLE),
+            "entropy": partial(_section, kinds=ENTROPY), "envelope": partial(_section, kinds=ENVELOPE)}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be an object")
-    unknown = set(raw) - TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    if "params" not in raw:
-        raise ConfigError("config needs a 'params' section")
-    for key in sorted(TOP_LEVEL_KEYS & set(raw)):
-        if not isinstance(raw[key], dict):
-            raise ConfigError(f"'{key}' must be an object")
-    params = build_params(raw["params"])
-    rho = build_angle_distribution(raw["rho"]) if "rho" in raw else None
-    if params.dimension == 1 and rho is None:
-        raise ConfigError("dimension 1 requires a 'rho' section")
-    initial = build_initial(raw["initial"]) if "initial" in raw else None
-    if initial is not None:
-        try:
-            initial.initial_moments(params)  # the mean's length and n_hot must fit params
-        except ValueError as exc:
-            raise ConfigError(f"invalid initial: {exc}") from exc
-    ensemble = build_ensemble(raw["ensemble"]) if "ensemble" in raw else None
-    entropy_options = _section(raw.get("entropy", {}), "entropy", ENTROPY)
-    envelope_options = _section(raw.get("envelope", {}), "envelope", ENVELOPE)
-    t_max = max([0.0, *envelope_options.get("t_grid", ()), *(ensemble.t_grid if ensemble is not None else ())])
-    expected = params.total_rate * t_max
-    if not expected <= MAX_EVENTS_PER_TRAJECTORY:  # also rejects inf and inf * 0 = nan
-        raise ConfigError(f"expected collisions per trajectory total_rate * t_max = {expected:g} "
-                          f"exceed MAX_EVENTS_PER_TRAJECTORY = {MAX_EVENTS_PER_TRAJECTORY:g}")
-    return ExperimentConfig(
-        params=params,
-        rho=rho,
-        initial=initial,
-        ensemble=ensemble,
-        entropy_options=entropy_options,
-        envelope_options=envelope_options,
-        raw=raw,
-    )
+    """The whole document is one more section: its keys are the sections, its constructor ExperimentConfig."""
+    return _section(raw, "config", {None: (partial(ExperimentConfig, raw=raw), SECTIONS, {"params"})})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import kacbath
 from kacbath.cli import main
 from kacbath.config import (MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError,
-                            canonical_hash, load_config, parse_config)
-from kacbath.engine import result_bytes
-from kacbath.model import GeneratorParams
+                            ExperimentConfig, canonical_hash, load_config, parse_config)
+from kacbath.engine import EnsembleConfig, InitialCondition, result_bytes
+from kacbath.model import AngleDistribution, GeneratorParams
 from kacbath.words import sum_rule_bytes
 from kacbath.output import read_snapshots, write_snapshots
 
@@ -134,6 +134,34 @@ def test_parse_config_rejects_integers_past_the_float_range(field):
 def test_parse_config_requires_mapping():
     with pytest.raises(ConfigError):
         parse_config([1, 2])
+
+
+@pytest.mark.parametrize("raw", [
+    {"params": {"M": 2, "N": 8, 1: 0, "x": 0}, "rho": {"type": "uniform"}},
+    {"params": {"M": 2, "N": 8}, "rho": {"type": "uniform"}, 1: 0, "x": 0},
+], ids=["in-params", "top-level"])
+def test_parse_config_rejects_non_string_keys(raw):
+    # JSON keys are strings, but a dict built in Python may mix in others, which cannot be sorted with them
+    with pytest.raises(ConfigError, match="keys must be strings"):
+        parse_config(raw)
+
+
+def test_experiment_config_runs_the_checks_across_sections():
+    params = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0)
+    rho = AngleDistribution.uniform()
+    with pytest.raises(ConfigError, match="requires a 'rho'"):
+        ExperimentConfig(params=params, raw={})
+    with pytest.raises(ConfigError, match="invalid initial"):
+        ExperimentConfig(params=params, rho=rho, initial=InitialCondition.shifted_gaussian([0.5]), raw={})
+    ensemble = EnsembleConfig(n_traj=10, t_grid=(0.0, MAX_EVENTS_PER_TRAJECTORY / params.total_rate * 2), seed=1)
+    with pytest.raises(ConfigError, match="MAX_EVENTS_PER_TRAJECTORY"):
+        ExperimentConfig(params=params, rho=rho, ensemble=ensemble, raw={})
+
+
+def test_omitted_entropy_section_takes_the_defaults():
+    cfg = parse_config({"params": {"M": 2, "N": 8}, "rho": {"type": "uniform"}})
+    assert cfg.entropy == {"k": 4, "bootstrap": 50}
+    assert cfg.envelope == {}
 
 
 # ----------------------------------------------------------------- binary IO

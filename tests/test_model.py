@@ -332,8 +332,11 @@ def _select_pairs_oracle(params, rng, size):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 8), (1, 200), (3, 3)])
 def test_pair_draw_matches_select_oracle_bit_for_bit(shape, rates):
     params = GeneratorParams(*shape, *rates)
-    if params.total_rate == 0.0:
-        pytest.skip("no kind has a population at a positive rate")
+    if params.total_rate == 0.0:  # no kind has a population at a positive rate
+        for draw in (sample_pairs_array, sample_pair_kinds):
+            with pytest.raises(ValueError, match="total jump rate is zero"):
+                draw(params, np.random.default_rng(0), 3001)
+        return
     for seed in range(5):
         got = sample_pairs_array(params, np.random.default_rng(seed), 3001)
         want = _select_pairs_oracle(params, np.random.default_rng(seed), 3001)
