@@ -27,7 +27,6 @@ from .entropy import (
 from .inequalities import (
     BLDatum,
     HeatFlowFunction,
-    TestFunction1D,
     bl_inequality_check,
     entropic_nelson_check,
     entropy_dual_check,

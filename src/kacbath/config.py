@@ -155,10 +155,6 @@ def _section(section: dict, where: str, kinds: dict, tag: str | None = None):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def build_angle_distribution(section: dict) -> AngleDistribution:
-    return _section(section, "rho", RHO, "type")
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Validated experiment description plus its canonical hash; building one runs the cross-section checks."""
@@ -169,7 +165,7 @@ class ExperimentConfig:
     ensemble: EnsembleConfig | None = None
     entropy: dict = field(default_factory=ENTROPY[None][0])
     envelope: dict = field(default_factory=dict)
-    raw: dict
+    config_hash: str
 
     def __post_init__(self):
         if self.params.dimension == 1 and self.rho is None:
@@ -186,10 +182,6 @@ class ExperimentConfig:
                               f"exceed MAX_EVENTS_PER_TRAJECTORY = {MAX_EVENTS_PER_TRAJECTORY:g}")
 
     @property
-    def config_hash(self) -> str:
-        return canonical_hash(self.raw)
-
-    @property
     def seed(self) -> int:
         return self.ensemble.seed if self.ensemble is not None else 0
 
@@ -201,7 +193,11 @@ SECTIONS = {"params": partial(_section, kinds=PARAMS, tag="preset"), "rho": part
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """The whole document is one more section: its keys are the sections, its constructor ExperimentConfig."""
-    return _section(raw, "config", {None: (partial(ExperimentConfig, raw=raw), SECTIONS, {"params"})})
+
+    def build(**sections) -> ExperimentConfig:  # called once _section has checked every key, so all are strings
+        return ExperimentConfig(**sections, config_hash=canonical_hash(raw))
+
+    return _section(raw, "config", {None: (build, SECTIONS, {"params"})})
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -27,40 +27,7 @@ HEAT_FLOW_LIMIT_TIME = 50.0  # flow time whose joint integral stands in for the 
 HEAT_FLOW_SLOPE_TOL = -1e-6  # least secant slope of Phi accepted as nondecreasing
 HEAT_FLOW_LIMIT_REL_TOL = 0.02
 
-
-@dataclass(frozen=True)
-class TestFunction1D:
-    """A profile on the line used as hypercontractivity test input; `fn` takes a
-    flat array of points, and a call returns values in the shape of its points."""
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.asarray(self.fn(x.ravel()), dtype=float).reshape(x.shape)
-
-    @classmethod
-    def constant(cls, c: float) -> "TestFunction1D":
-        return cls(fn=lambda x: np.full_like(x, c), label=f"const({c})")
-
-    @classmethod
-    def coordinate(cls) -> "TestFunction1D":
-        return cls(fn=lambda x: x, label="x")
-
-    @classmethod
-    def gaussian_bump(cls, a: float, center: float = 0.0) -> "TestFunction1D":
-        if a <= 0:
-            raise ValueError("bump needs a > 0")
-        return cls(fn=lambda x: np.exp(-a * (x - center) ** 2), label=f"bump(a={a},c={center})")
-
-    @classmethod
-    def polynomial_bump(cls, coeffs: Sequence[float]) -> "TestFunction1D":
-        """0.1 + p(x)^2: strictly positive, polynomially bounded."""
-        poly = np.polynomial.Polynomial(list(coeffs))
-        return cls(fn=lambda x: 0.1 + poly(x) ** 2, label=f"polybump{tuple(coeffs)}")
+Profile = Callable[[np.ndarray], np.ndarray]  # a function's values at an array of points
 
 
 def _eval_factor(fn, pts: np.ndarray) -> np.ndarray:
@@ -87,9 +54,10 @@ def _entropy_sum(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.dot(values * np.log(np.where(values > 0, values, 1.0)), weights))
 
 
-def ou_apply(h: TestFunction1D, t: float, order: int = 64) -> TestFunction1D:
+def ou_apply(h: Profile, t: float, order: int = 64) -> Profile:
     """Ornstein-Uhlenbeck average: contract toward 0 by e^-t, refill with Gaussian noise.
 
+    The average takes points of any shape and keeps it, so averages nest.
     Preserves the Gaussian-weighted mass of h; constants are fixed points.
     """
     if t < 0:
@@ -102,9 +70,10 @@ def ou_apply(h: TestFunction1D, t: float, order: int = 64) -> TestFunction1D:
     nodes = nodes[:, 0]
 
     def evolved(x):
-        return h(decay * x[:, None] + spread * nodes[None, :]) @ wts
+        flat = np.ravel(x)
+        return (h(decay * flat[:, None] + spread * nodes[None, :]) @ wts).reshape(np.shape(x))
 
-    return TestFunction1D(fn=evolved, label=f"OU[{t}]{h.label}")
+    return evolved
 
 
 @dataclass(frozen=True)
@@ -134,7 +103,7 @@ def _two_order_verdict(margin_fn: Callable[[int], float], order: int) -> Inequal
     )
 
 
-def entropic_nelson_check(h: TestFunction1D, t: float, order: int = 96) -> InequalityCheck:
+def entropic_nelson_check(h: Profile, t: float, order: int = 96) -> InequalityCheck:
     """Margin of the entropic contraction of the OU average.
 
     The entropy of the evolved profile must stay below the e^(-2t) blend of
@@ -349,19 +318,26 @@ def heat_flow_monotonicity_check(
     )
 
 
-def nelson_fixture_suite() -> list[TestFunction1D]:
-    """Twenty strictly positive, polynomially bounded test profiles."""
-    fixtures = []
-    for a, center in [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (math.pi, 0.0),
-                      (0.5, 0.7), (1.0, -0.6), (2.0, 0.4), (1.5, 1.0)]:
-        fixtures.append(TestFunction1D.gaussian_bump(a, center))
-    for coeffs in [(1.0,), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0, 1.0),
-                   (0.0, 1.0, 0.5), (1.0, -1.0), (0.2, 0.3, -0.4)]:
-        fixtures.append(TestFunction1D.polynomial_bump(coeffs))
-    fixtures.append(TestFunction1D.constant(1.0))
-    fixtures.append(TestFunction1D.constant(2.5))
-    fixtures.append(TestFunction1D(fn=lambda x: 1.0 + 0.5 * np.sin(x) ** 2, label="1+sin^2/2"))
-    fixtures.append(TestFunction1D(fn=lambda x: np.exp(-0.8 * x * x) + 0.3, label="bump+0.3"))
-    fixtures.append(TestFunction1D(fn=lambda x: 1.0 / (1.0 + x * x) + 0.1, label="cauchy+0.1"))
+def nelson_fixture_suite() -> list[Profile]:
+    """Twenty strictly positive, polynomially bounded test profiles on the line."""
+
+    def bump(a: float, center: float):
+        return lambda x: np.exp(-a * (x - center) ** 2)
+
+    def polynomial_bump(coeffs: Sequence[float]):  # 0.1 + p(x)^2
+        poly = np.polynomial.Polynomial(list(coeffs))
+        return lambda x: 0.1 + poly(x) ** 2
+
+    fixtures = [bump(a, center) for a, center in [(0.5, 0.0), (1.0, 0.0), (2.0, 0.0), (math.pi, 0.0),
+                                                  (0.5, 0.7), (1.0, -0.6), (2.0, 0.4), (1.5, 1.0)]]
+    fixtures += [polynomial_bump(coeffs) for coeffs in [(1.0,), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0, 1.0),
+                                                        (0.0, 1.0, 0.5), (1.0, -1.0), (0.2, 0.3, -0.4)]]
+    fixtures += [
+        lambda x: np.full_like(x, 1.0),
+        lambda x: np.full_like(x, 2.5),
+        lambda x: 1.0 + 0.5 * np.sin(x) ** 2,
+        lambda x: np.exp(-0.8 * x * x) + 0.3,
+        lambda x: 1.0 / (1.0 + x * x) + 0.1,
+    ]
     assert len(fixtures) == 20
     return fixtures

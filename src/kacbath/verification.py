@@ -1,14 +1,13 @@
 """Bundled fixture suites for the inequality lab and the discrete measures."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discretize import DiscreteAngleMeasure, SphereQuadrature
 from .inequalities import (
     BLDatum,
     HeatFlowFunction,
+    Profile,
     bl_inequality_check,
     entropic_nelson_check,
     entropy_dual_check,
@@ -27,30 +26,17 @@ HEAT_FLOW_SEED = 7
 SPHERE_RULE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AffineSquaredPlus:
-    """floor + (bias + slope . u)^2: strictly positive low-degree polynomial."""
+def random_positive_polynomials(datum: BLDatum, rng: np.random.Generator) -> list[Profile]:
+    """Per map, the strictly positive factor u -> floor + (bias + slope . u)^2."""
 
-    floor: float
-    bias: float
-    slope: tuple[float, ...]
+    def factor(floor: float, bias: float, slope: np.ndarray) -> Profile:
+        return lambda pts: floor + (bias + np.atleast_2d(pts) @ slope) ** 2
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return self.floor + (self.bias + pts @ np.asarray(self.slope)) ** 2
-
-
-def random_positive_polynomials(datum: BLDatum, rng: np.random.Generator) -> list[AffineSquaredPlus]:
     funcs = []
     for b in datum.maps:
-        d = b.shape[0]
-        funcs.append(
-            AffineSquaredPlus(
-                floor=0.3 + 0.4 * float(rng.random()),
-                bias=float(rng.normal(scale=0.5)),
-                slope=tuple(rng.normal(scale=0.5, size=d)),
-            )
-        )
+        floor = 0.3 + 0.4 * float(rng.random())
+        bias = float(rng.normal(scale=0.5))
+        funcs.append(factor(floor, bias, rng.normal(scale=0.5, size=b.shape[0])))
     return funcs
 
 

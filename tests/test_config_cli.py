@@ -150,12 +150,22 @@ def test_experiment_config_runs_the_checks_across_sections():
     params = GeneratorParams(M=2, N=8, lambda_S=1.0, lambda_R=1.0, mu=1.0)
     rho = AngleDistribution.uniform()
     with pytest.raises(ConfigError, match="requires a 'rho'"):
-        ExperimentConfig(params=params, raw={})
+        ExperimentConfig(params=params, config_hash="")
     with pytest.raises(ConfigError, match="invalid initial"):
-        ExperimentConfig(params=params, rho=rho, initial=InitialCondition.shifted_gaussian([0.5]), raw={})
+        ExperimentConfig(params=params, rho=rho, initial=InitialCondition.shifted_gaussian([0.5]), config_hash="")
     ensemble = EnsembleConfig(n_traj=10, t_grid=(0.0, MAX_EVENTS_PER_TRAJECTORY / params.total_rate * 2), seed=1)
     with pytest.raises(ConfigError, match="MAX_EVENTS_PER_TRAJECTORY"):
-        ExperimentConfig(params=params, rho=rho, ensemble=ensemble, raw={})
+        ExperimentConfig(params=params, rho=rho, ensemble=ensemble, config_hash="")
+
+
+def test_config_hash_is_taken_when_the_config_is_parsed():
+    # the hash was recomputed from the caller's dict on every read, so editing it after parsing moved the hash
+    raw = {"params": {"M": 2, "N": 8}, "rho": {"type": "uniform"}}
+    cfg = parse_config(raw)
+    digest = canonical_hash(raw)
+    raw["params"]["M"] = 3
+    assert cfg.params.M == 2
+    assert cfg.config_hash == digest
 
 
 def test_omitted_entropy_section_takes_the_defaults():

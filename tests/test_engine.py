@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kacbath import (
+    AngleDistribution,
     EnsembleConfig,
     GeneratorParams,
     InitialCondition,
@@ -12,7 +13,6 @@ from kacbath import (
     simulate_ensemble,
     simulate_trajectory,
 )
-from kacbath.config import build_angle_distribution
 from kacbath.engine import SimulationError, trajectory_rng
 from kacbath.model import THERMAL_VARIANCE
 from tests.conftest import raised_cosine
@@ -537,8 +537,7 @@ def test_density_table_ensemble_identical_across_workers(params28):
     thetas = np.linspace(-math.pi, math.pi, 401)
 
     def rho():  # a fresh law each run, so two worker threads may both build its inverse-CDF table
-        return build_angle_distribution({"type": "density_table", "thetas": thetas.tolist(),
-                                         "values": raised_cosine(thetas).tolist()})
+        return AngleDistribution.from_table(thetas, raised_cosine(thetas))
 
     init = InitialCondition.gaussian_product(0.3)
     cfg = EnsembleConfig(n_traj=2 * _CHUNK + 9, t_grid=(0.0, 0.5), seed=64)

@@ -6,7 +6,6 @@ import pytest
 from kacbath import (
     BLDatum,
     HeatFlowFunction,
-    TestFunction1D,
     bl_inequality_check,
     entropic_nelson_check,
     entropy_dual_check,
@@ -35,19 +34,19 @@ from tests.oracles import gaussian_norm_1d
 
 
 def test_ou_identity_at_time_zero():
-    h = TestFunction1D.gaussian_bump(1.3)
+    h = lambda x: np.exp(-1.3 * x ** 2)
     assert ou_apply(h, 0.0) is h
 
 
 def test_ou_contracts_coordinate():
-    h = TestFunction1D.coordinate()
+    h = lambda x: x
     out = ou_apply(h, 0.9)
     xs = np.linspace(-3, 3, 11)
     assert np.max(np.abs(out(xs) - math.exp(-0.9) * xs)) < 1e-13
 
 
 def test_ou_fixes_constants_and_their_norms():
-    h = TestFunction1D.constant(1.7)
+    h = lambda x: np.full_like(x, 1.7)
     out = ou_apply(h, 1.4)
     xs = np.linspace(-2, 2, 9)
     assert np.max(np.abs(out(xs) - 1.7)) < 1e-13
@@ -56,7 +55,7 @@ def test_ou_fixes_constants_and_their_norms():
 
 
 def test_ou_preserves_gaussian_mass():
-    for h in (TestFunction1D.gaussian_bump(0.8, 0.4), TestFunction1D.polynomial_bump((0.5, 1.0))):
+    for h in (lambda x: np.exp(-0.8 * (x - 0.4) ** 2), lambda x: 0.1 + (0.5 + x) ** 2):
         before = gaussian_average(h, 96, 1)
         after = gaussian_average(ou_apply(h, 0.75), 96, 1)
         assert abs(after - before) < 1e-10
@@ -64,7 +63,7 @@ def test_ou_preserves_gaussian_mass():
 
 def test_nelson_norm_contraction_grid():
     # L^p -> L^q boundedness exactly on the hypercontractive boundary and inside it
-    h = TestFunction1D.polynomial_bump((0.3, 1.0, 0.2))
+    h = lambda x: 0.1 + (0.3 + x + 0.2 * x ** 2) ** 2
     for t in (0.1, 0.5, 2.0):
         for q in (2.0, 3.0, 4.0):
             p_boundary = 1.0 + math.exp(-2.0 * t) * (q - 1.0)
@@ -74,28 +73,38 @@ def test_nelson_norm_contraction_grid():
                 assert lhs <= rhs + 1e-8
 
 
+def test_ou_averages_nest_and_keep_the_shape_of_their_points():
+    h = lambda x: 0.2 + np.exp(-0.9 * (x - 0.3) ** 2)
+    xs = np.linspace(-3, 3, 13)
+    nested = ou_apply(ou_apply(h, 0.4), 0.7)
+    assert np.max(np.abs(nested(xs) - ou_apply(h, 1.1)(xs))) < 1e-10
+    column = ou_apply(h, 0.5)(xs[:, None])
+    assert column.shape == (13, 1)
+    assert np.array_equal(column[:, 0], ou_apply(h, 0.5)(xs))
+
+
 def test_ou_rejects_negative_time():
     with pytest.raises(ValueError):
-        ou_apply(TestFunction1D.constant(1.0), -0.1)
+        ou_apply(lambda x: np.full_like(x, 1.0), -0.1)
 
 
 # ----------------------------------------------------------- entropic bound
 
 
 def test_nelson_equality_for_constants():
-    check = entropic_nelson_check(TestFunction1D.constant(2.0), 0.7)
+    check = entropic_nelson_check(lambda x: np.full_like(x, 2.0), 0.7)
     assert abs(check.margin) < 1e-10
     assert check.passed
 
 
 def test_nelson_strictly_positive_margin_for_bump():
-    check = entropic_nelson_check(TestFunction1D.gaussian_bump(1.0, 0.0), 0.5)
+    check = entropic_nelson_check(lambda x: np.exp(-x ** 2), 0.5)
     assert check.margin > 0
     assert check.passed and not check.inconclusive
 
 
 def test_nelson_long_time_limit():
-    h = TestFunction1D.gaussian_bump(1.0, 0.3)
+    h = lambda x: np.exp(-(x - 0.3) ** 2)
     mass = gaussian_average(h, 96, 1)
     evolved = ou_apply(h, 20.0, order=96)
     x, w = gaussian_tensor_rule(96, 1)
@@ -106,7 +115,7 @@ def test_nelson_long_time_limit():
 
 def test_nelson_rejects_signed_profiles():
     with pytest.raises(ValueError):
-        entropic_nelson_check(TestFunction1D.coordinate(), 0.3)
+        entropic_nelson_check(lambda x: x, 0.3)
 
 
 def _signed(pts):
@@ -119,7 +128,7 @@ _TWO_LINES = BLDatum(maps=[np.eye(1), np.eye(1)], weights=np.array([0.5, 0.5]))
 def test_signed_integrands_raise_instead_of_a_verdict():
     # each of these returned a margin: nothing read the sign off the values
     with pytest.raises(ValueError, match="nonnegative"):
-        entropic_nelson_check(TestFunction1D(fn=lambda x: x + 0.5), 0.5)
+        entropic_nelson_check(lambda x: x + 0.5, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         bl_inequality_check(_TWO_LINES, [_signed, _signed])
     ones = lambda pts: np.ones(len(np.atleast_2d(pts)))
@@ -129,18 +138,18 @@ def test_signed_integrands_raise_instead_of_a_verdict():
 
 def test_gaussian_average_reads_the_sign_and_the_zero_dimensional_constant():
     assert gaussian_average(lambda pts: np.full(len(pts), 2.5), 12, 0) == 2.5
-    assert gaussian_average(TestFunction1D.constant(2.0), 12, 1) == pytest.approx(2.0, rel=1e-14)
-    for fn, dim in ((lambda pts: np.full(len(pts), -1.0), 0), (TestFunction1D.constant(-1.0), 1),
+    assert gaussian_average(lambda x: np.full_like(x, 2.0), 12, 1) == pytest.approx(2.0, rel=1e-14)
+    for fn, dim in ((lambda pts: np.full(len(pts), -1.0), 0), (lambda x: np.full_like(x, -1.0), 1),
                     (lambda pts: np.full(len(pts), np.nan), 2)):
         with pytest.raises(ValueError):
             gaussian_average(fn, 12, dim)
 
 
 def test_nelson_fixture_suite_margins():
-    for h in nelson_fixture_suite():
+    for i, h in enumerate(nelson_fixture_suite()):
         check = entropic_nelson_check(h, 0.5)
-        assert check.margin >= -1e-8, h.label
-        assert not check.inconclusive, h.label
+        assert check.margin >= -1e-8, i
+        assert not check.inconclusive, i
 
 
 # ------------------------------------------------------------------ BL data
@@ -222,6 +231,23 @@ def test_entropy_dual_on_enumerated_data():
 
         check = entropy_dual_check(datum, funcs, h, order=16)
         assert check.margin >= -1e-8, label
+
+
+def test_bl_checks_cap_the_ambient_dimension_at_three():
+    datum = BLDatum(maps=[np.eye(4)], weights=np.array([1.0]))
+    ones = lambda pts: np.ones(len(pts))
+    with pytest.raises(ValueError, match="capped at ambient dimension 3"):
+        bl_inequality_check(datum, [ones])
+    with pytest.raises(ValueError, match="capped at ambient dimension 3"):
+        entropy_dual_check(datum, [ones], ones)
+
+
+def test_entropy_dual_floors_a_factor_that_vanishes_at_nodes():
+    half_line = lambda pts: np.maximum(np.atleast_2d(pts)[:, 0], 0.0)  # 0 at every node x <= 0
+    ones = lambda pts: np.ones(len(np.atleast_2d(pts)))
+    with pytest.warns(UserWarning, match="floored at 1e-300"):
+        check = entropy_dual_check(_TWO_LINES, [half_line, ones], ones, order=12)
+    assert math.isfinite(check.margin) and math.isfinite(check.margin_coarse)
 
 
 # ---------------------------------------------------------------- heat flow
