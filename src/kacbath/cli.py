@@ -120,15 +120,10 @@ def cmd_entropy(args, cfg, seed):
         for ti in range(len(result.t_grid))
     ]
     report = decay_check(result.t_grid, estimates, s0, cfg.params, cfg.rho)
-    rows = [{"t": r.t, "S_hat": r.estimate, "SE": r.std_error, "envelope": r.envelope,
-             "bound": r.bound, "margin": r.margin, "pass": r.passed} for r in report.rows]
-    files = {
-        "entropy.csv": (["t", "S_hat", "SE", "envelope_times_S0", "pass_flag"],
-                        [(r.t, r.estimate, r.std_error, r.envelope * s0, int(r.passed)) for r in report.rows]),
-        "entropy_report.json": {"S0": s0, "bias_margin": report.bias_margin, "estimator": estimates[0].estimator,
-                                "rows": rows, "pass": report.all_passed},
-    }
-    return files, None, report.all_passed
+    rows = [(r["t"], r["S_hat"], r["SE"], r["envelope"] * s0, int(r["pass"])) for r in report["rows"]]
+    files = {"entropy.csv": (["t", "S_hat", "SE", "envelope_times_S0", "pass_flag"], rows),
+             "entropy_report.json": report}
+    return files, None, report["pass"]
 
 
 def cmd_envelope(args, cfg, seed):

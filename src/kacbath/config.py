@@ -172,7 +172,7 @@ class ExperimentConfig:
             raise ConfigError("dimension 1 requires a 'rho' section")
         if self.initial is not None:
             try:
-                self.initial.initial_moments(self.params)  # the mean's length and n_hot must fit params
+                self.initial.gaussian(self.params)  # the mean's length and n_hot must fit params
             except ValueError as exc:
                 raise ConfigError(f"invalid initial: {exc}") from exc
         t_max = max([0.0, *self.envelope.get("t_grid", ()), *getattr(self.ensemble, "t_grid", ())])

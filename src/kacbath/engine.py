@@ -112,35 +112,27 @@ class InitialCondition:
     def custom(cls, sampler: Callable) -> "InitialCondition":
         return cls(sampler=sampler)
 
-    def system_variances(self, params: GeneratorParams) -> np.ndarray:
-        """Per-coordinate variances of the system block (Gaussian laws only)."""
+    def gaussian(self, params: GeneratorParams) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate (means, variances) of the system block; a custom law, or one that does
+        not fit `params`, raises ValueError."""
         if self.sampler is not None:
-            raise ValueError("a custom initial law has no analytic variances")
+            raise ValueError("a custom initial law has no analytic means or variances")
         d, M = params.dimension, params.M
-        out = np.full(d * M, self.s)
+        variances = np.full(d * M, self.s)
         if self.s_hot is not None:
             hot = self.n_hot if self.n_hot is not None else (M + 1) // 2
             if not 0 <= hot <= M:
                 raise ValueError(f"n_hot must be in 0..{M}, got {hot}")
-            out[: d * hot] = self.s_hot
-        return out
-
-    def system_means(self, params: GeneratorParams) -> np.ndarray:
-        if self.sampler is not None:
-            raise ValueError("a custom initial law has no analytic means")
-        d, M = params.dimension, params.M
-        if self.mean is None:
-            return np.zeros(d * M)
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (d * M,):
+            variances[: d * hot] = self.s_hot
+        means = np.zeros(d * M) if self.mean is None else np.asarray(self.mean, dtype=float)
+        if means.shape != (d * M,):
             raise ValueError(f"mean must have length {d * M}")
-        return mean
+        return means, variances
 
     def initial_moments(self, params: GeneratorParams) -> MomentPair:
         """Mean per-coordinate second moments (system, bath) for the oracle."""
-        var = self.system_variances(params)
-        mean = self.system_means(params)
-        return MomentPair(float(np.mean(var + mean ** 2)), THERMAL_VARIANCE)
+        means, variances = self.gaussian(params)
+        return MomentPair(float(np.mean(variances + means ** 2)), THERMAL_VARIANCE)
 
     def sample_system(
         self, params: GeneratorParams, rng: np.random.Generator, size: int | None = None
@@ -154,8 +146,9 @@ class InitialCondition:
             if out.shape != (dm,):
                 raise ValueError("custom sampler returned a wrong-shaped system block")
             return out
+        means, variances = self.gaussian(params)
         shape = dm if size is None else (size, dm)
-        return self.system_means(params) + rng.normal(size=shape) * np.sqrt(self.system_variances(params))
+        return means + rng.normal(size=shape) * np.sqrt(variances)
 
 
 @dataclass(frozen=True)

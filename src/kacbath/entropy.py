@@ -96,6 +96,8 @@ def relative_entropy_to_thermal(
     points = np.asarray(cloud, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError("cloud must have shape (n,) or (n, dim) with dim >= 1")
     n, dim = points.shape
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n samples")
@@ -143,33 +145,8 @@ def gaussian_kl_to_thermal(variance: float) -> float:
 
 def gaussian_initial_entropy(init, params: GeneratorParams) -> float:
     """Exact relative entropy of a Gaussian initial condition; a custom law raises ValueError."""
-    variances = init.system_variances(params)
-    means = init.system_means(params)
+    means, variances = init.gaussian(params)
     return float(sum(gaussian_kl_to_thermal(s) for s in variances) + math.pi * np.dot(means, means))
-
-
-@dataclass(frozen=True)
-class DecayCheckRow:
-    t: float
-    estimate: float
-    std_error: float
-    envelope: float
-    bound: float
-    passed: bool
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.estimate
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    rows: tuple[DecayCheckRow, ...]
-    bias_margin: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
 
 
 def decay_check(
@@ -178,27 +155,21 @@ def decay_check(
     s0: float,
     params: GeneratorParams,
     rho: AngleDistribution | None = None,
-) -> DecayReport:
-    """Verdict per observation time of estimate <= envelope * S0 + 3 SE + bias.
+) -> dict:
+    """The entropy_report.json payload: per observation time, the verdict S_hat <= envelope * S0 + 3 SE + bias.
 
-    Failures, a non-finite estimate or SE among them, become report rows, not exceptions.
+    Failures, a non-finite estimate or SE among them, become rows with "pass" false, not exceptions.
     """
-    if len(estimates) != len(t_grid):
-        raise ValueError("one estimate per observation time required")
+    if not len(estimates) == len(t_grid) >= 1:
+        raise ValueError("one estimate per observation time required, for at least one time")
     bias_margin = BIAS_MARGIN_PER_DIM * params.dimension * params.M
     env = DecayEnvelope.from_params(params, rho)
     rows = []
     for t, est in zip(t_grid, estimates):
         d_t = env(float(t))
         bound = d_t * s0 + 3.0 * est.std_error + bias_margin
-        rows.append(
-            DecayCheckRow(
-                t=float(t),
-                estimate=est.value,
-                std_error=est.std_error,
-                envelope=d_t,
-                bound=bound,
-                passed=bool(np.isfinite([est.value, est.std_error]).all() and est.value <= bound),
-            )
-        )
-    return DecayReport(rows=tuple(rows), bias_margin=bias_margin)
+        passed = bool(np.isfinite([est.value, est.std_error]).all() and est.value <= bound)
+        rows.append({"t": float(t), "S_hat": est.value, "SE": est.std_error, "envelope": d_t,
+                     "bound": bound, "margin": bound - est.value, "pass": passed})
+    return {"S0": s0, "bias_margin": bias_margin, "estimator": estimates[0].estimator, "rows": rows,
+            "pass": all(row["pass"] for row in rows)}

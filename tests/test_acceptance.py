@@ -120,13 +120,13 @@ def test_criterion_4_entropy_decay(decay_run):
         for ti in range(len(result.t_grid))
     ]
     report = decay_check(result.t_grid, estimates, s0, params, rho)
-    assert report.bias_margin == pytest.approx(0.04, abs=1e-15)
-    for row in report.rows:
-        assert row.passed, f"t={row.t}: {row.estimate} > {row.bound}"
+    assert report["bias_margin"] == pytest.approx(0.04, abs=1e-15)
+    for row in report["rows"]:
+        assert row["pass"], f"t={row['t']}: {row['S_hat']} > {row['bound']}"
     assert estimates[-1].value < 0.5 * estimates[0].value
     elapsed = sim_seconds + (time.time() - t0)
     assert elapsed < 600.0
-    margins = ", ".join(f"{row.margin:.3f}" for row in report.rows)
+    margins = ", ".join(f"{row['margin']:.3f}" for row in report["rows"])
     print(f"\nACCEPTANCE 4 PASS: entropy under envelope (margins {margins}), "
           f"S(4)/S(0) = {estimates[-1].value / estimates[0].value:.3f}, {elapsed:.1f}s")
 

@@ -324,6 +324,13 @@ def test_cli_entropy_small_run(tmp_path):
     report = json.loads((out / "entropy_report.json").read_text())
     assert report["pass"] is True
     assert report["estimator"]["k"] == 4
+    # both artifacts come from one row list: the CSV is the report's rows, column for column
+    csv_rows = [line.split(",") for line in rows[2:]]
+    assert len(csv_rows) == len(report["rows"]) == 2
+    for fields, row in zip(csv_rows, report["rows"]):
+        parsed = (float(fields[0]), float(fields[1]), float(fields[2]), float(fields[3]), int(fields[4]))
+        assert parsed == (row["t"], row["S_hat"], row["SE"], row["envelope"] * report["S0"], int(row["pass"]))
+        assert row["margin"] == row["bound"] - row["S_hat"]
 
 
 def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):

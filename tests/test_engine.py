@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from kacbath import (
     EnsembleConfig,
     GeneratorParams,
     InitialCondition,
+    gaussian_initial_entropy,
     propagate_moments,
     simulate_ensemble,
     simulate_trajectory,
 )
+from kacbath.config import ExperimentConfig
 from kacbath.engine import SimulationError, trajectory_rng
 from kacbath.model import THERMAL_VARIANCE
 from tests.conftest import raised_cosine
@@ -158,7 +161,7 @@ def test_moment_decay_matches_oracle_3d():
 
 def test_two_temperature_variances(params28):
     init = InitialCondition.two_temperature(0.5, 0.1)
-    var = init.system_variances(params28)
+    var = init.gaussian(params28)[1]
     assert var.tolist() == [0.5, 0.1]
     m0 = init.initial_moments(params28)
     assert m0.m1 == pytest.approx(0.3)
@@ -207,9 +210,28 @@ def test_initial_condition_rejects_fields_its_law_ignores(fields):
 
 
 def test_initial_condition_keeps_valid_n_hot_and_sampler(params28):
-    assert InitialCondition(s_hot=1.0, n_hot=np.int64(1)).system_variances(params28).tolist() == [1.0, THERMAL_VARIANCE]
+    assert InitialCondition(s_hot=1.0, n_hot=np.int64(1)).gaussian(params28)[1].tolist() == [1.0, THERMAL_VARIANCE]
     init = InitialCondition.custom(_zero_block)
     assert np.array_equal(init.sample_system(params28, trajectory_rng(1, 0)), np.zeros(2))
+
+
+@pytest.mark.parametrize("init, message", [
+    (InitialCondition.two_temperature(1.0, 0.1, n_hot=3), "n_hot must be in 0..2, got 3"),
+    (InitialCondition.shifted_gaussian([0.0]), "mean must have length 2"),
+], ids=["n_hot-3", "mean-length-1"])
+def test_law_that_does_not_fit_params_fails_alike_for_every_reader(init, message, params28, uniform_rho):
+    readers = {
+        "sample_system": lambda: init.sample_system(params28, trajectory_rng(1, 0)),
+        "initial_moments": lambda: init.initial_moments(params28),
+        "gaussian_initial_entropy": lambda: gaussian_initial_entropy(init, params28),
+        "simulate_ensemble": lambda: simulate_ensemble(params28, uniform_rho, init,
+                                                       EnsembleConfig(n_traj=4, t_grid=(0.0,), seed=1)),
+        "ExperimentConfig": lambda: ExperimentConfig(params=params28, rho=uniform_rho, initial=init, config_hash=""),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read()
+            pytest.fail(f"{name} accepted a law that does not fit params")
 
 
 @pytest.mark.parametrize("dimension", [1, 3])
@@ -241,6 +263,8 @@ def test_custom_sampler_and_nan_abort(params28, uniform_rho):
         simulate_trajectory(params28, uniform_rho, init, [0.0], trajectory_rng(50, 0))
     with pytest.raises(ValueError):
         init.initial_moments(params28)
+    with pytest.raises(ValueError, match="custom initial law"):
+        init.gaussian(params28)
 
 
 def test_engine_needs_rho_in_dimension_1(params28):

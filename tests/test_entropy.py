@@ -140,6 +140,12 @@ def test_sample_cloud_validation():
     assert (est.estimator["n"], est.estimator["dim"]) == (5, 2)
 
 
+@pytest.mark.parametrize("shape", [(10, 0), (10, 2, 2), ()], ids=["no-coordinates", "3-d", "scalar"])
+def test_estimator_rejects_a_cloud_it_cannot_score(shape):
+    with pytest.raises(ValueError, match=r"cloud must have shape \(n,\) or \(n, dim\) with dim >= 1"):
+        relative_entropy_to_thermal(np.zeros(shape))
+
+
 def test_jitter_warning_points_at_the_caller():
     with pytest.warns(UserWarning) as record:
         relative_entropy_to_thermal(np.zeros((10, 2)), k=2, n_bootstrap=2)
@@ -184,32 +190,34 @@ def _fake_estimate(value, se=0.003):
 def test_decay_check_time_zero_passes_by_construction(params28, uniform_rho):
     s0 = 0.3
     report = decay_check([0.0], [_fake_estimate(s0)], s0, params28, uniform_rho)
-    assert report.rows[0].passed
-    assert report.rows[0].envelope == pytest.approx(1.0)
+    assert report["rows"][0]["pass"]
+    assert report["rows"][0]["envelope"] == pytest.approx(1.0)
 
 
 def test_decay_check_trivial_envelope_when_decoupled(uniform_rho):
     p = GeneratorParams(M=2, N=8, lambda_S=0.0, lambda_R=1.0, mu=0.0)
     s0 = 0.3
     report = decay_check([0.0, 2.0, 9.0], [_fake_estimate(s0)] * 3, s0, p, uniform_rho)
-    assert all(row.envelope == 1.0 for row in report.rows)
-    assert report.all_passed
+    assert all(row["envelope"] == 1.0 for row in report["rows"])
+    assert report["pass"]
 
 
 def test_decay_check_flags_violations(params28, uniform_rho):
     report = decay_check([4.0], [_fake_estimate(10.0)], 0.3, params28, uniform_rho)
-    assert not report.all_passed
-    assert report.rows[0].margin < 0
+    assert not report["pass"]
+    assert report["rows"][0]["margin"] < 0
+    with pytest.raises(ValueError, match="one estimate per observation time"):
+        decay_check([], [], 0.3, params28, uniform_rho)
 
 
 def test_decay_check_fails_non_finite_estimate_or_se(params28, uniform_rho):
     inf, nan = float("inf"), float("nan")
     estimates = [_fake_estimate(0.1, se=inf), _fake_estimate(-inf), _fake_estimate(nan), _fake_estimate(0.1, se=nan)]
     report = decay_check([2.0] * 4, estimates, 0.3, params28, uniform_rho)
-    assert [row.passed for row in report.rows] == [False] * 4
-    assert decay_check([2.0], [_fake_estimate(0.1)], 0.3, params28, uniform_rho).all_passed
+    assert [row["pass"] for row in report["rows"]] == [False] * 4
+    assert decay_check([2.0], [_fake_estimate(0.1)], 0.3, params28, uniform_rho)["pass"]
 
 
 def test_decay_check_default_bias_margin(params28, uniform_rho):
     report = decay_check([0.0], [_fake_estimate(0.1)], 0.1, params28, uniform_rho)
-    assert report.bias_margin == pytest.approx(0.04)
+    assert report["bias_margin"] == pytest.approx(0.04)
