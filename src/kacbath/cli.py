@@ -1,7 +1,8 @@
 """Command-line entry point: configuration, orchestration, artifact emission.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure or runtime
-error, 2 on configuration errors (with machine-readable JSON diagnostics and
+error, 2 on configuration errors, bad arguments and an output directory that
+cannot be created among them (with machine-readable JSON diagnostics and
 no partial outputs: each command returns its files, as CSV (columns, rows)
 pairs, JSON dicts or writers, before `_run` creates the output directory).
 """
@@ -22,7 +23,7 @@ from .config import (MAX_ANGLE_ORDER, MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTOR
                      MAX_SPHERE_ORDER, MAX_STATE_COORDINATES, MAX_TRAJECTORIES, ConfigError,
                      ExperimentConfig, load_config)
 from .discretize import build_discrete_angle_measure, build_sphere_quadrature
-from .engine import SimulationError, estimator_rng, result_bytes, simulate_ensemble
+from .engine import MAX_SEED, SimulationError, estimator_rng, result_bytes, simulate_ensemble
 from .entropy import decay_check, gaussian_initial_entropy, relative_entropy_to_thermal
 from .model import InvalidDistributionError
 from .moments import envelope, envelope_poisson_sum, propagate_moments
@@ -33,8 +34,22 @@ from .words import mc_sum_rule, sum_rule_bytes
 CONFIG_FREE = {"discretize-sphere", "verify-inequalities"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """A parser whose errors are `ConfigError`s, so that they exit 2 with the JSON diagnostic."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def u64(text: str) -> int:
+    """A seed: an integer in [0, MAX_SEED]; argparse reports anything else as an invalid u64 value."""
+    if not 0 <= int(text) <= MAX_SEED:
+        raise ValueError(text)
+    return int(text)
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="kacbath",
         description="Simulate a pair-collision system coupled to a finite heat bath "
         "and verify its moment/entropy decay and algebraic identities.",
@@ -44,9 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--config", type=Path, required=name not in CONFIG_FREE, help="JSON experiment config")
+        if name not in CONFIG_FREE:
+            p.add_argument("--config", type=Path, required=True, help="JSON experiment config")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=u64, default=None, help="override the config seed")
         p.add_argument("--workers", default="1",
                        help="worker threads, an integer >= 1 checked by every command (env "
                        "KACBATH_WORKERS overrides); only simulate and entropy use more than one, "
@@ -215,7 +231,10 @@ def _run(args) -> int:
     cfg_hash = cfg.config_hash if cfg is not None else "none"
     t0 = time.time()
     files, echo, passed = COMMANDS[args.command](args, cfg, seed)
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a path under one
+        raise ConfigError(f"cannot create the output directory {args.out}: {exc}") from None
     paths = []
     for name, content in files.items():
         path = args.out / name
@@ -233,9 +252,8 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stdout)
         return 2

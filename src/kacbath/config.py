@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .engine import EnsembleConfig, InitialCondition
+from .engine import MAX_SEED, EnsembleConfig, InitialCondition
 from .entropy import DEFAULT_BOOTSTRAP, DEFAULT_K
 from .model import AngleDistribution, GeneratorParams
 
@@ -121,7 +121,8 @@ INITIAL = {  # custom samplers are API-only
 }
 ENSEMBLE = {None: (EnsembleConfig, {"n_traj": partial(_integer, minimum=1, maximum=MAX_TRAJECTORIES),
                                     "t_grid": lambda value, where: tuple(_times(value, where)),
-                                    "seed": _integer, "record": _record}, {"n_traj", "t_grid", "seed"})}
+                                    "seed": partial(_integer, minimum=0, maximum=MAX_SEED),
+                                    "record": _record}, {"n_traj", "t_grid", "seed"})}
 ENTROPY = {None: (partial(dict, k=DEFAULT_K, bootstrap=DEFAULT_BOOTSTRAP),
                   {"k": _count, "bootstrap": partial(_integer, minimum=2, maximum=MAX_BOOTSTRAP)}, set())}
 ENVELOPE = {None: (dict, {"t_grid": _envelope_times}, set())}

@@ -47,6 +47,7 @@ ENERGY_DRIFT_TOL = 1e-10
 _CHUNK = 2048
 _BLOCK_SLOTS = 2 ** 14  # collision slots (steps x trajectories) drawn at once; bounds peak memory
 _BOOTSTRAP_KEY_OFFSET = 2 ** 63  # separates estimator streams from trajectory streams
+MAX_SEED = 2 ** 64 - 1  # a seed keys Philox as one u64 word
 MAX_INITIAL_SCALE = 1e50  # on initial variances and |mean|: fourth moments and their SEs stay finite
 
 
@@ -56,7 +57,9 @@ class SimulationError(RuntimeError):
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one unit of work: Philox keyed by (seed, index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    if not 0 <= seed <= MAX_SEED:  # numpy before 2.0 would wrap it silently
+        raise ValueError(f"seed must be in [0, {MAX_SEED}], got {seed!r}")
+    key = np.array([seed, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -134,21 +137,16 @@ class InitialCondition:
         means, variances = self.gaussian(params)
         return MomentPair(float(np.mean(variances + means ** 2)), THERMAL_VARIANCE)
 
-    def sample_system(
-        self, params: GeneratorParams, rng: np.random.Generator, size: int | None = None
-    ) -> np.ndarray:
-        """One system block of shape (d*M,), or `size` of them stacked as (size, d*M)."""
+    def sample_system(self, params: GeneratorParams, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` system blocks stacked as (size, d*M)."""
         dm = params.dimension * params.M
         if self.sampler is not None:
-            if size is not None:
-                return np.stack([self.sample_system(params, rng) for _ in range(size)])
-            out = np.asarray(self.sampler(params, rng), dtype=float)
-            if out.shape != (dm,):
+            rows = [np.asarray(self.sampler(params, rng), dtype=float) for _ in range(size)]
+            if any(row.shape != (dm,) for row in rows):
                 raise ValueError("custom sampler returned a wrong-shaped system block")
-            return out
+            return np.stack(rows)
         means, variances = self.gaussian(params)
-        shape = dm if size is None else (size, dm)
-        return means + rng.normal(size=shape) * np.sqrt(variances)
+        return means + rng.normal(size=(size, dm)) * np.sqrt(variances)
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if not (_is_int(self.n_traj) and self.n_traj >= 1):
             raise ValueError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
-        if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed <= MAX_SEED):
+            raise ValueError(f"seed must be an integer in [0, {MAX_SEED}], got {self.seed!r}")
         _check_grid(self.t_grid)
         known = {"system_velocities", "energies"}
         unknown = set(self.record) - known
@@ -231,7 +229,7 @@ def simulate_trajectory(
     """Evolve one trajectory on `rng`, returning a one-row result with energies.
 
     This is a lockstep run of one trajectory; its first draw is the system
-    block, so the t=0 snapshot equals `init.sample_system(params, rng)`.
+    block, so the t=0 snapshot equals `init.sample_system(params, rng, 1)[0]`.
     """
     result = _empty_result(params, _check_grid(t_grid), 1, energies=True)
     _simulate_lockstep(params, rho, init, rng, result, slice(None))
@@ -251,7 +249,6 @@ def _simulate_lockstep(params, rho, init, rng, result: EnsembleResult, rows: sli
     t_grid, snapshots, counts = result.t_grid, result.snapshots[rows], result.counts[rows]
     energies = None if result.energies is None else result.energies[rows]
     size = len(snapshots)
-    lam = params.total_rate
     # one state (d(M+N), size), batch axis last as `collide` takes it
     state = np.empty((d * (M + N), size))
     state[: d * M] = init.sample_system(params, rng, size).T
@@ -260,10 +257,7 @@ def _simulate_lockstep(params, rho, init, rng, result: EnsembleResult, rows: sli
     e0 = np.einsum("ib,ib->b", state, state)
 
     windows = np.diff(np.concatenate([[0.0], t_grid]))
-    if lam > 0:
-        n_events = rng.poisson(lam * windows, size=(size, len(windows)))
-    else:
-        n_events = np.zeros((size, len(windows)), dtype=np.int64)
+    n_events = rng.poisson(params.total_rate * windows, size=(size, len(windows)))
 
     block_steps = max(1, _BLOCK_SLOTS // size)
     for w, t in enumerate(t_grid):

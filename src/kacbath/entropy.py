@@ -25,8 +25,6 @@ DEFAULT_K = 4
 DEFAULT_BOOTSTRAP = 50
 BIAS_MARGIN_PER_DIM = 0.02  # empirical kNN bias allowance per dimension, n >= 1e5
 JITTER_SCALE = 1e-12
-HISTOGRAM_BINS = 256
-HISTOGRAM_SPAN_SDS = 6.0  # the histogram covers the mean +- this many standard deviations
 
 
 @dataclass(frozen=True)
@@ -120,21 +118,6 @@ def relative_entropy_to_thermal(
             "jittered": jittered,
         },
     )
-
-
-def histogram_differential_entropy(samples: np.ndarray) -> float:
-    """Plug-in histogram estimate for 1-D clouds, as a kNN cross-check."""
-    x = np.asarray(samples, dtype=float).ravel()
-    if not (x.size and np.isfinite(x).all()):
-        raise ValueError("the histogram estimate needs a non-empty cloud of finite values")
-    mean, half = x.mean(), HISTOGRAM_SPAN_SDS * x.std()
-    if not mean - half < mean + half:
-        raise ValueError("the cloud has zero spread: a point mass has entropy -inf")
-    counts, edges = np.histogram(x, bins=HISTOGRAM_BINS, range=(mean - half, mean + half))
-    width = edges[1] - edges[0]
-    p = counts / counts.sum()
-    nz = p > 0
-    return float(-(p[nz] * np.log(p[nz] / width)).sum())
 
 
 def gaussian_kl_to_thermal(variance: float) -> float:

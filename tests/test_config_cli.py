@@ -16,7 +16,7 @@ import kacbath
 from kacbath.cli import main
 from kacbath.config import (MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError,
                             ExperimentConfig, canonical_hash, load_config, parse_config)
-from kacbath.engine import EnsembleConfig, InitialCondition, result_bytes
+from kacbath.engine import EnsembleConfig, InitialCondition, result_bytes, trajectory_rng
 from kacbath.model import AngleDistribution, GeneratorParams
 from kacbath.words import sum_rule_bytes
 from kacbath.output import read_snapshots, write_snapshots
@@ -166,6 +166,20 @@ def test_config_hash_is_taken_when_the_config_is_parsed():
     raw["params"]["M"] = 3
     assert cfg.params.M == 2
     assert cfg.config_hash == digest
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2**64"])
+def test_seed_must_be_a_u64(seed):
+    # seeds were masked to 64 bits, so -1 and 2**64 - 1 ran the same stream under different headers
+    raw = {**BASE_CONFIG, "ensemble": {**BASE_CONFIG["ensemble"], "seed": seed}}
+    with pytest.raises(ConfigError, match="ensemble.seed"):
+        parse_config(raw)
+    with pytest.raises(ValueError, match="seed"):
+        EnsembleConfig(n_traj=10, t_grid=(0.0, 1.0), seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        trajectory_rng(seed, 0)
+    raw["ensemble"]["seed"] = 2 ** 64 - 1
+    assert parse_config(raw).seed == 2 ** 64 - 1
 
 
 def test_omitted_entropy_section_takes_the_defaults():
@@ -333,6 +347,15 @@ def test_cli_entropy_small_run(tmp_path):
         assert row["margin"] == row["bound"] - row["S_hat"]
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-a-file"])
+def test_cli_out_that_cannot_be_created_exits_2(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("kept")
+    assert main(["discretize-sphere", "--L", "3", "--K", "2", "--out", str(tmp_path / out)]) == 2
+    assert (tmp_path / "taken").read_text() == "kept"
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "output directory" in diag["detail"]
+
+
 def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "never"
@@ -493,6 +516,13 @@ HUGE_RESULT = {"params": {"M": 1000, "N": 1000, "lambda_S": 0.0, "lambda_R": 0.0
     ("verify-sum-rule", {"params": SUM_RULE_PARAMS}, ["--k", "1000000", "--n", "20000"]),
     ("simulate", HUGE_RESULT, []),
     ("envelope", {"rho": {"type": "density_table", "thetas": [-4, 4], "values": [0.125, 0.125]}}, []),
+    ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--seed", "-1"]),
+    ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--seed", str(2 ** 64)]),
+    ("simulate", {"ensemble": SMALL_ENSEMBLE}, ["--seed", "abc"]),
+    ("verify-sum-rule", {}, ["--k", "3"]),
+    ("verify-inequalities", None, ["--config", "x.json"]),
+    ("discretize-sphere", None, ["--L", "3", "--K", "2", "--config", "x.json"]),
+    ("bogus", None, []),
 ], ids=["mu-nan", "t_grid-infinity", "bias_margin-nan", "mean-length", "k-fraction", "k-string",
         "k-zero", "k-at-n_traj", "n_traj-one", "bootstrap-one", "envelope-negative-time",
         "n_hot-above-M", "n_hot-negative", "angle-K-0", "sphere-L-1", "sum-rule-k-negative",
@@ -505,7 +535,9 @@ HUGE_RESULT = {"params": {"M": 1000, "N": 1000, "lambda_S": 0.0, "lambda_R": 0.0
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
         "s-string", "atom-string", "table-string", "mean-string", "N-1e18-simulate", "N-1e18-entropy",
         "sum-rule-k-above-cap", "sum-rule-n-above-cap", "sum-rule-M-1e18", "sum-rule-N-1e18", "angle-K-1025",
-        "sphere-L-2049", "sphere-nodes-above-cap", "sum-rule-k-1e6", "result-745-GiB", "table-outside-pi"])
+        "sphere-L-2049", "sphere-nodes-above-cap", "sum-rule-k-1e6", "result-745-GiB", "table-outside-pi",
+        "seed-negative", "seed-2**64", "seed-string", "sum-rule-without-n", "inequalities-config", "sphere-config",
+        "unknown-command"])
 def test_cli_bad_input_exits_2_without_outputs(tmp_path, capsys, monkeypatch, command, overrides, extra):
     monkeypatch.delenv("KACBATH_WORKERS", raising=False)
     argv = [command]

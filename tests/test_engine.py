@@ -25,7 +25,7 @@ from tests.oracles import collide_pair_3d, gaussian_system_block_reference, rota
 def test_time_zero_snapshot_is_exact_initial_sample(params28, uniform_rho):
     init = InitialCondition.gaussian_product(0.4)
     snapshots = simulate_trajectory(params28, uniform_rho, init, [0.0], trajectory_rng(5, 0)).snapshots[0]
-    expected = init.sample_system(params28, trajectory_rng(5, 0))
+    expected = init.sample_system(params28, trajectory_rng(5, 0), 1)[0]
     assert np.array_equal(snapshots[0], expected)
 
 
@@ -212,7 +212,7 @@ def test_initial_condition_rejects_fields_its_law_ignores(fields):
 def test_initial_condition_keeps_valid_n_hot_and_sampler(params28):
     assert InitialCondition(s_hot=1.0, n_hot=np.int64(1)).gaussian(params28)[1].tolist() == [1.0, THERMAL_VARIANCE]
     init = InitialCondition.custom(_zero_block)
-    assert np.array_equal(init.sample_system(params28, trajectory_rng(1, 0)), np.zeros(2))
+    assert np.array_equal(init.sample_system(params28, trajectory_rng(1, 0), 1)[0], np.zeros(2))
 
 
 @pytest.mark.parametrize("init, message", [
@@ -221,7 +221,7 @@ def test_initial_condition_keeps_valid_n_hot_and_sampler(params28):
 ], ids=["n_hot-3", "mean-length-1"])
 def test_law_that_does_not_fit_params_fails_alike_for_every_reader(init, message, params28, uniform_rho):
     readers = {
-        "sample_system": lambda: init.sample_system(params28, trajectory_rng(1, 0)),
+        "sample_system": lambda: init.sample_system(params28, trajectory_rng(1, 0), 1),
         "initial_moments": lambda: init.initial_moments(params28),
         "gaussian_initial_entropy": lambda: gaussian_initial_entropy(init, params28),
         "simulate_ensemble": lambda: simulate_ensemble(params28, uniform_rho, init,
@@ -265,6 +265,15 @@ def test_custom_sampler_and_nan_abort(params28, uniform_rho):
         init.initial_moments(params28)
     with pytest.raises(ValueError, match="custom initial law"):
         init.gaussian(params28)
+
+
+def test_custom_sampler_of_the_wrong_shape_raises(params28, uniform_rho):
+    init = InitialCondition.custom(lambda params, rng: np.zeros(3))
+    message = "custom sampler returned a wrong-shaped system block"
+    with pytest.raises(ValueError, match=message):
+        init.sample_system(params28, trajectory_rng(1, 0), 4)
+    with pytest.raises(ValueError, match=message):
+        simulate_ensemble(params28, uniform_rho, init, EnsembleConfig(n_traj=4, t_grid=(0.0,), seed=1))
 
 
 def test_engine_needs_rho_in_dimension_1(params28):

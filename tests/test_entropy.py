@@ -16,7 +16,6 @@ from kacbath import (
 from kacbath.engine import trajectory_rng
 from kacbath.entropy import (
     gaussian_kl_to_thermal,
-    histogram_differential_entropy,
     log_unit_ball_volume,
 )
 from kacbath.model import THERMAL_VARIANCE
@@ -113,22 +112,6 @@ def test_estimate_components_are_consistent():
     est = relative_entropy_to_thermal(x, rng=trajectory_rng(67, 1))
     assert est.value == pytest.approx(est.second_moment_term - est.differential_entropy, abs=1e-12)
     assert est.estimator["method"] == "knn"
-
-
-def test_histogram_cross_check_1d():
-    rng = trajectory_rng(68, 0)
-    x = rng.normal(size=200000) * 0.7
-    h_hist = histogram_differential_entropy(x)
-    assert abs(h_hist - gaussian_entropy(1, 0.49)) < 0.02
-
-
-@pytest.mark.parametrize("cloud", [np.ones(10), np.full(7, -2.5), np.array([0.3, math.nan, 1.0]),
-                                   np.array([0.3, math.inf, 1.0]), np.empty(0)],
-                         ids=["ones", "constant", "nan", "inf", "empty"])
-def test_histogram_rejects_point_masses_and_non_finite_clouds(cloud):
-    # a point mass has entropy -inf: no finite number may stand for it
-    with pytest.raises(ValueError):
-        histogram_differential_entropy(cloud)
 
 
 def test_sample_cloud_validation():
