@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -31,8 +32,6 @@ from .output import write_csv, write_json, write_manifest, write_snapshots
 from .verification import angle_measure_report, run_inequality_suite, sphere_rule_report
 from .words import mc_sum_rule, sum_rule_bytes
 
-CONFIG_FREE = {"discretize-sphere", "verify-inequalities"}
-
 
 class ArgumentParser(argparse.ArgumentParser):
     """A parser whose errors are `ConfigError`s, so that they exit 2 with the JSON diagnostic."""
@@ -41,65 +40,25 @@ class ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def u64(text: str) -> int:
-    """A seed: an integer in [0, MAX_SEED]; argparse reports anything else as an invalid u64 value."""
-    if not 0 <= int(text) <= MAX_SEED:
-        raise ValueError(text)
-    return int(text)
+def integer(minimum: int, maximum: float = math.inf):
+    """An argparse type: an integer in [minimum, maximum]; its name states the range in argparse's message."""
+
+    def parse(text: str) -> int:
+        if not minimum <= int(text) <= maximum:
+            raise ValueError(text)
+        return int(text)
+
+    parse.__name__ = f"integer in [{minimum}, {maximum}]"
+    return parse
 
 
-def build_parser() -> ArgumentParser:
-    parser = ArgumentParser(
-        prog="kacbath",
-        description="Simulate a pair-collision system coupled to a finite heat bath "
-        "and verify its moment/entropy decay and algebraic identities.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help):
-        p = sub.add_parser(name, help=help)
-        if name not in CONFIG_FREE:
-            p.add_argument("--config", type=Path, required=True, help="JSON experiment config")
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=u64, default=None, help="override the config seed")
-        p.add_argument("--workers", default="1",
-                       help="worker threads, an integer >= 1 checked by every command (env "
-                       "KACBATH_WORKERS overrides); only simulate and entropy use more than one, "
-                       "and the kNN query always uses every CPU")
-        return p
-
-    add("simulate", "run an ensemble and emit moments.csv")
-    add("entropy", "simulate, estimate entropy decay, emit entropy.csv")
-    add("envelope", "emit the decay envelope and moment predictions")
-    p = add("verify-sum-rule", "Monte Carlo check of the word-average identity")
-    p.add_argument("--k", type=int, required=True, help="word length")
-    p.add_argument("--n", type=int, required=True, help="number of sampled words (>= 2)")
-    p = add("discretize-angle", "emit the discrete angle measure and its invariants")
-    p.add_argument("--K", type=int, required=True, help="spectral order (4K+1 atoms)")
-    p = add("discretize-sphere", "emit the sphere product rule and its invariants")
-    p.add_argument("--L", type=int, required=True, help="polar Gauss-Legendre order")
-    p.add_argument("--K", type=int, required=True, help="azimuthal half-count")
-    add("verify-inequalities", "run the functional-inequality fixture suite")
-    return parser
-
-
-def _effective_workers(args) -> int:
-    """The worker count: KACBATH_WORKERS if set, else --workers; an integer >= 1 or exit 2."""
+def _effective_workers(workers: int) -> int:
+    """KACBATH_WORKERS if set, read by the type of --workers; else --workers."""
     env = os.environ.get("KACBATH_WORKERS")
-    name, value = ("KACBATH_WORKERS", env) if env is not None else ("--workers", args.workers)
     try:
-        workers = int(value)
+        return workers if env is None else WORKER_COUNT(env)
     except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ConfigError(f"{name} must be >= 1, got {workers}")
-    return workers
-
-
-def _require_in_range(args, name: str, minimum: int, maximum: float = float("inf")) -> None:
-    if not minimum <= getattr(args, name) <= maximum:
-        raise ConfigError(f"--{name} must be in [{minimum}, {maximum:g}], got {getattr(args, name)}")
+        raise ConfigError(f"KACBATH_WORKERS: invalid {WORKER_COUNT.__name__} value: {env!r}") from None
 
 
 def _run_ensemble(cfg: ExperimentConfig, seed: int, workers: int):
@@ -160,8 +119,6 @@ def cmd_envelope(args, cfg, seed):
 
 
 def cmd_verify_sum_rule(args, cfg, seed):
-    _require_in_range(args, "k", 0, MAX_EVENTS_PER_TRAJECTORY)  # a word is one trajectory's collisions
-    _require_in_range(args, "n", 2, MAX_TRAJECTORIES)  # one word has no standard error
     if args.k > 0 and cfg.params.total_rate <= 0.0:
         raise ConfigError("words of length k >= 1 need a positive total jump rate")
     need = sum_rule_bytes(cfg.params, args.n, args.k)
@@ -183,7 +140,6 @@ def cmd_verify_sum_rule(args, cfg, seed):
 def cmd_discretize_angle(args, cfg, seed):
     if cfg.rho is None:
         raise ConfigError("discretize-angle needs a rho section")
-    _require_in_range(args, "K", 1, MAX_ANGLE_ORDER)
     try:  # a law within 1e-12 of unit mass can round past it on the grid
         measure = build_discrete_angle_measure(cfg.rho, args.K)
     except InvalidDistributionError as exc:
@@ -198,8 +154,8 @@ def cmd_discretize_angle(args, cfg, seed):
 
 
 def cmd_discretize_sphere(args, cfg, seed):
-    _require_in_range(args, "L", 2, MAX_SPHERE_ORDER)
-    _require_in_range(args, "K", 2, MAX_SPHERE_NODES // (2 * args.L))  # 2*K*L nodes
+    if 2 * args.K * args.L > MAX_SPHERE_NODES:
+        raise ConfigError(f"2*K*L = {2 * args.K * args.L} sphere nodes exceed MAX_SPHERE_NODES = {MAX_SPHERE_NODES}")
     rule = build_sphere_quadrature(args.L, args.K)
     report = sphere_rule_report(rule)
     rows = [(x, y, z, w) for (x, y, z), w in zip(rule.nodes.tolist(), rule.weights.tolist())]
@@ -212,28 +168,64 @@ def cmd_verify_inequalities(args, cfg, seed):
     return {"inequalities.json": scoreboard}, scoreboard, scoreboard["pass"]
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "entropy": cmd_entropy,
-    "envelope": cmd_envelope,
-    "verify-sum-rule": cmd_verify_sum_rule,
-    "discretize-angle": cmd_discretize_angle,
-    "discretize-sphere": cmd_discretize_sphere,
-    "verify-inequalities": cmd_verify_inequalities,
+WORKER_COUNT = integer(1)
+SEED = ("--seed", integer(0, MAX_SEED), "override the config seed")
+WORKERS = ("--workers", WORKER_COUNT, "worker threads (env KACBATH_WORKERS overrides); only simulate and entropy "
+           "use more than one, and the kNN query always uses every CPU")
+DEFAULTS = {"--seed": None, "--workers": 1}  # every other flag is required
+
+COMMANDS = {  # name: (function, help, reads_config, flags as (flag, type, help))
+    "simulate": (cmd_simulate, "run an ensemble and emit moments.csv", True, (SEED, WORKERS)),
+    "entropy": (cmd_entropy, "simulate, estimate entropy decay, emit entropy.csv", True, (SEED, WORKERS)),
+    "envelope": (cmd_envelope, "emit the decay envelope and moment predictions", True, (SEED, WORKERS)),
+    "verify-sum-rule": (cmd_verify_sum_rule, "Monte Carlo check of the word-average identity", True, (
+        SEED, WORKERS,
+        ("--k", integer(0, int(MAX_EVENTS_PER_TRAJECTORY)), "word length"),  # a word is one trajectory's collisions
+        ("--n", integer(2, MAX_TRAJECTORIES), "number of sampled words"))),  # one word has no standard error
+    "discretize-angle": (cmd_discretize_angle, "emit the discrete angle measure and its invariants", True, (
+        SEED, WORKERS, ("--K", integer(1, MAX_ANGLE_ORDER), "spectral order (4K+1 atoms)"))),
+    "discretize-sphere": (cmd_discretize_sphere, "emit the sphere product rule and its invariants", False, (
+        SEED, WORKERS, ("--L", integer(2, MAX_SPHERE_ORDER), "polar Gauss-Legendre order"),
+        ("--K", integer(2), "azimuthal half-count; the rule has 2*K*L nodes"))),
+    "verify-inequalities": (cmd_verify_inequalities, "run the functional-inequality fixture suite", False,
+                            (SEED, WORKERS)),
 }
 
 
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
+        prog="kacbath",
+        description="Simulate a pair-collision system coupled to a finite heat bath "
+        "and verify its moment/entropy decay and algebraic identities.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help, reads_config, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if reads_config:
+            p.add_argument("--config", type=Path, required=True, help="JSON experiment config")
+        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        for flag, kind, flag_help in flags:
+            p.add_argument(flag, type=kind, help=f"{flag_help} (%(type)s)", required=flag not in DEFAULTS,
+                          default=DEFAULTS.get(flag))
+    return parser
+
+
 def _run(args) -> int:
-    """Workers, config, seed and command; then the output directory, files, echo and manifest."""
-    args.workers = _effective_workers(args)
-    cfg = None if args.command in CONFIG_FREE else load_config(args.config)
+    """Workers, --out, config, seed and command; then the output directory, files, echo and manifest."""
+    function, _, reads_config, _ = COMMANDS[args.command]
+    args.workers = _effective_workers(args.workers)
+    nearest = next(path for path in (args.out, *args.out.parents) if os.path.exists(path))
+    if not os.path.isdir(nearest):  # found before any work; mkdir below still meets permissions and races
+        raise ConfigError(f"cannot create the output directory {args.out}: {nearest} is not a directory")
+    cfg = load_config(args.config) if reads_config else None
     seed = args.seed if args.seed is not None else (cfg.seed if cfg is not None else 0)
     cfg_hash = cfg.config_hash if cfg is not None else "none"
     t0 = time.time()
-    files, echo, passed = COMMANDS[args.command](args, cfg, seed)
+    files, echo, passed = function(args, cfg, seed)
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a path under one
+    except OSError as exc:  # no permission, or a file made since the check above
         raise ConfigError(f"cannot create the output directory {args.out}: {exc}") from None
     paths = []
     for name, content in files.items():

@@ -172,6 +172,9 @@ class ExperimentConfig:
         if self.params.dimension == 1 and self.rho is None:
             raise ConfigError("dimension 1 requires a 'rho' section")
         if self.initial is not None:
+            coordinates = self.params.dimension * self.params.M  # gaussian() below allocates them
+            if coordinates > MAX_STATE_COORDINATES:
+                raise ConfigError(f"d * M = {coordinates} exceeds MAX_STATE_COORDINATES = {MAX_STATE_COORDINATES}")
             try:
                 self.initial.gaussian(self.params)  # the mean's length and n_hot must fit params
             except ValueError as exc:

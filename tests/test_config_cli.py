@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,10 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kacbath
+from kacbath import cli
 from kacbath.cli import main
-from kacbath.config import (MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_TRAJECTORIES, ConfigError,
-                            ExperimentConfig, canonical_hash, load_config, parse_config)
-from kacbath.engine import EnsembleConfig, InitialCondition, result_bytes, trajectory_rng
+from kacbath.config import (MAX_ANGLE_ORDER, MAX_BUFFER_BYTES, MAX_EVENTS_PER_TRAJECTORY, MAX_SPHERE_ORDER,
+                            MAX_TRAJECTORIES, ConfigError, ExperimentConfig, canonical_hash, load_config,
+                            parse_config)
+from kacbath.engine import MAX_SEED, EnsembleConfig, InitialCondition, result_bytes, trajectory_rng
 from kacbath.model import AngleDistribution, GeneratorParams
 from kacbath.words import sum_rule_bytes
 from kacbath.output import read_snapshots, write_snapshots
@@ -348,12 +351,18 @@ def test_cli_entropy_small_run(tmp_path):
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-a-file"])
-def test_cli_out_that_cannot_be_created_exits_2(tmp_path, capsys, out):
+def test_cli_out_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, out):
+    def never(*args, **kwargs):
+        raise AssertionError("the ensemble ran before --out was checked")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", never)
     (tmp_path / "taken").write_text("kept")
-    assert main(["discretize-sphere", "--L", "3", "--K", "2", "--out", str(tmp_path / out)]) == 2
-    assert (tmp_path / "taken").read_text() == "kept"
-    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert diag["error"] == "config" and "output directory" in diag["detail"]
+    cfg_path = write_config(tmp_path, {"ensemble": SMALL_ENSEMBLE})
+    for argv in (["discretize-sphere", "--L", "3", "--K", "2"], ["simulate", "--config", str(cfg_path)]):
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        assert (tmp_path / "taken").read_text() == "kept"
+        diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert diag["error"] == "config" and "output directory" in diag["detail"]
 
 
 def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
@@ -399,6 +408,40 @@ def test_cli_bad_workers_exit_2_for_every_command(tmp_path, monkeypatch, capsys,
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag["error"] == "config"
     assert ("KACBATH_WORKERS" if env is not None else "--workers") in diag["detail"]
+
+
+# Every bounded flag of the command table, with its bounds written out from the caps; each command's
+# other required arguments come from ARGV.  Only parsed, never run: K = 1024 alone takes 583 MB.
+ARGV = {"simulate": ["--config", "c.json"], "entropy": ["--config", "c.json"], "envelope": ["--config", "c.json"],
+        "verify-sum-rule": ["--config", "c.json", "--k", "1", "--n", "2"],
+        "discretize-angle": ["--config", "c.json", "--K", "1"], "discretize-sphere": ["--L", "2", "--K", "2"],
+        "verify-inequalities": []}
+BOUNDED_FLAGS = [
+    *[(command, "--seed", 0, MAX_SEED) for command in ARGV],
+    *[(command, "--workers", 1, math.inf) for command in ARGV],
+    ("verify-sum-rule", "--k", 0, int(MAX_EVENTS_PER_TRAJECTORY)),
+    ("verify-sum-rule", "--n", 2, MAX_TRAJECTORIES),
+    ("discretize-angle", "--K", 1, MAX_ANGLE_ORDER),
+    ("discretize-sphere", "--L", 2, MAX_SPHERE_ORDER),
+    ("discretize-sphere", "--K", 2, math.inf),
+]
+
+
+def test_bounded_flags_are_the_command_table():
+    declared = {(name, flag) for name, (_, _, _, flags) in cli.COMMANDS.items() for flag, _, _ in flags}
+    assert declared == {(command, flag) for command, flag, _, _ in BOUNDED_FLAGS}
+
+
+@pytest.mark.parametrize("command, flag, lo, hi", BOUNDED_FLAGS, ids=[c + f for c, f, _, _ in BOUNDED_FLAGS])
+def test_flag_bounds_are_checked_at_parse(command, flag, lo, hi):
+    argv = [command, *ARGV[command], flag]
+    for value in (lo, hi):
+        if value != math.inf:
+            assert getattr(cli.build_parser().parse_args([*argv, str(value)]), flag.lstrip("-")) == value
+    for value in (lo - 1, hi + 1):
+        if value != math.inf:
+            with pytest.raises(ConfigError, match=re.escape(f"argument {flag}: invalid integer in [{lo}, {hi}]")):
+                cli.build_parser().parse_args([*argv, str(value)])
 
 
 # ------------------------------------------------------------ cold import
@@ -510,6 +553,8 @@ HUGE_RESULT = {"params": {"M": 1000, "N": 1000, "lambda_S": 0.0, "lambda_R": 0.0
     ("verify-sum-rule", {}, ["--k", "1", "--n", str(MAX_TRAJECTORIES + 1)]),
     ("verify-sum-rule", {"params": {**HUGE_BATH, "M": 10 ** 18, "N": 1}, "initial": None}, ["--k", "0", "--n", "2"]),
     ("verify-sum-rule", {"params": {**BASE_PARAMS, "N": 10 ** 18}, "ensemble": None}, ["--k", "1", "--n", "2"]),
+    ("verify-sum-rule", {"params": {**HUGE_BATH, "M": 10 ** 18, "N": 1}}, ["--k", "0", "--n", "2"]),
+    ("envelope", {"params": {**HUGE_BATH, "M": 10 ** 12, "N": 1}, "ensemble": None}, []),
     ("discretize-angle", {}, ["--K", "1025"]),
     ("discretize-sphere", None, ["--L", "2049", "--K", "2"]),
     ("discretize-sphere", None, ["--L", "512", "--K", "1025"]),
@@ -534,7 +579,8 @@ HUGE_RESULT = {"params": {"M": 1000, "N": 1000, "lambda_S": 0.0, "lambda_R": 0.0
         "envelope-t_grid-empty", "envelope-t_grid-string", "ensemble-t_grid-string",
         "envelope-t_grid-401-digits", "M-401-digits", "lambda_S-401-digits", "rate-true", "rate-string",
         "s-string", "atom-string", "table-string", "mean-string", "N-1e18-simulate", "N-1e18-entropy",
-        "sum-rule-k-above-cap", "sum-rule-n-above-cap", "sum-rule-M-1e18", "sum-rule-N-1e18", "angle-K-1025",
+        "sum-rule-k-above-cap", "sum-rule-n-above-cap", "sum-rule-M-1e18", "sum-rule-N-1e18",
+        "sum-rule-M-1e18-initial", "envelope-M-1e12-initial", "angle-K-1025",
         "sphere-L-2049", "sphere-nodes-above-cap", "sum-rule-k-1e6", "result-745-GiB", "table-outside-pi",
         "seed-negative", "seed-2**64", "seed-string", "sum-rule-without-n", "inequalities-config", "sphere-config",
         "unknown-command"])
