@@ -1,10 +1,9 @@
 """Command-line entry point: configuration, orchestration, artifact emission.
 
 Exit codes: 0 when all requested checks pass, 1 on a check failure or runtime
-error, 2 on configuration errors, bad arguments and an output directory that
-cannot be created among them (with machine-readable JSON diagnostics and
-no partial outputs: each command returns its files, as CSV (columns, rows)
-pairs, JSON dicts or writers, before `_run` creates the output directory).
+error, 2 on configuration errors and bad arguments, paths that cannot be written
+among them, with a JSON diagnostic and no partial outputs: each command returns
+its files (CSV (columns, rows) pairs, JSON dicts or writers) before `_run` writes any.
 """
 from __future__ import annotations
 
@@ -50,6 +49,13 @@ def integer(minimum: int, maximum: float = math.inf):
 
     parse.__name__ = f"integer in [{minimum}, {maximum}]"
     return parse
+
+
+def nul_free_path(text: str) -> Path:
+    """An argparse type for --out and --config: a path that the file system can take."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"no file can be read or created at {text!r}: it holds a NUL byte")
+    return Path(text)
 
 
 def _effective_workers(workers: int) -> int:
@@ -203,8 +209,8 @@ def build_parser() -> ArgumentParser:
     for name, (_, help, reads_config, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
         if reads_config:
-            p.add_argument("--config", type=Path, required=True, help="JSON experiment config")
-        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+            p.add_argument("--config", type=nul_free_path, required=True, help="JSON experiment config")
+        p.add_argument("--out", type=nul_free_path, default=Path("out"), help="output directory")
         for flag, kind, flag_help in flags:
             p.add_argument(flag, type=kind, help=f"{flag_help} (%(type)s)", required=flag not in DEFAULTS,
                           default=DEFAULTS.get(flag))
@@ -212,7 +218,7 @@ def build_parser() -> ArgumentParser:
 
 
 def _run(args) -> int:
-    """Workers, --out, config, seed and command; then the output directory, files, echo and manifest."""
+    """Workers, --out, config, seed and command; then the file paths, output directory, files, echo and manifest."""
     function, _, reads_config, _ = COMMANDS[args.command]
     args.workers = _effective_workers(args.workers)
     nearest = next(path for path in (args.out, *args.out.parents) if os.path.exists(path))
@@ -223,20 +229,21 @@ def _run(args) -> int:
     cfg_hash = cfg.config_hash if cfg is not None else "none"
     t0 = time.time()
     files, echo, passed = function(args, cfg, seed)
+    paths = [args.out / name for name in files]
+    for path in (*paths, args.out / "manifest.json"):  # each must be absent or a regular file
+        if os.path.lexists(path) and not os.path.isfile(path):
+            raise ConfigError(f"cannot write {path}: not a regular file")
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # no permission, or a file made since the check above
         raise ConfigError(f"cannot create the output directory {args.out}: {exc}") from None
-    paths = []
-    for name, content in files.items():
-        path = args.out / name
+    for path, content in zip(paths, files.values()):
         if callable(content):
             content(path)
         elif isinstance(content, dict):
             write_json(path, content)
         else:
             write_csv(path, *content, cfg_hash, seed)
-        paths.append(path)
     if echo is not None:
         print(json.dumps(echo, sort_keys=True))
     write_manifest(args.out, __version__, cfg_hash, seed, time.time() - t0, paths)

@@ -207,9 +207,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON config file and check it with `parse_config`."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, or a NUL byte in the path
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except ValueError as exc:  # also an integer literal past Python's int-to-str digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

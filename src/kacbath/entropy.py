@@ -142,6 +142,7 @@ def decay_check(
     """The entropy_report.json payload: per observation time, the verdict S_hat <= envelope * S0 + 3 SE + bias.
 
     Failures, a non-finite estimate or SE among them, become rows with "pass" false, not exceptions.
+    The estimator settings are those of estimates[0], with "jittered" true if any estimate jittered.
     """
     if not len(estimates) == len(t_grid) >= 1:
         raise ValueError("one estimate per observation time required, for at least one time")
@@ -154,5 +155,6 @@ def decay_check(
         passed = bool(np.isfinite([est.value, est.std_error]).all() and est.value <= bound)
         rows.append({"t": float(t), "S_hat": est.value, "SE": est.std_error, "envelope": d_t,
                      "bound": bound, "margin": bound - est.value, "pass": passed})
-    return {"S0": s0, "bias_margin": bias_margin, "estimator": estimates[0].estimator, "rows": rows,
+    jittered = {"jittered": True} if any(est.estimator.get("jittered") for est in estimates) else {}
+    return {"S0": s0, "bias_margin": bias_margin, "estimator": {**estimates[0].estimator, **jittered}, "rows": rows,
             "pass": all(row["pass"] for row in rows)}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,20 +115,15 @@ class GeneratorParams:
         )
 
 
-def _periodic_table(thetas: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def interp(x):
-        return np.interp(np.asarray(x, dtype=float), thetas, values, period=TWO_PI)
-
-    return interp
-
-
 @dataclass
 class AngleDistribution:
     """Law of the scattering angle on [-pi, pi].
 
     Either an atomic measure, the uniform density, or a continuous density
     given by a callable or a periodic linear-interpolation table.  Unit mass
-    and a vanishing integral of sin*cos are enforced at construction.
+    and a vanishing integral of sin*cos are enforced at construction.  A density
+    is evaluated once, on CDF_KNOTS + 1 knots: each value must be nonnegative,
+    and the clipped values give the inverse-CDF table that `sample` reads.
     """
 
     kind: str  # "uniform" | "atoms" | "density"
@@ -135,14 +131,15 @@ class AngleDistribution:
     atom_weights: np.ndarray | None = None
     density: Callable[[np.ndarray], np.ndarray] | None = None
     _segments: np.ndarray | None = None
-    _cdf: tuple[np.ndarray, np.ndarray] | None = None
+    _cdf: tuple[np.ndarray, np.ndarray] | None = field(init=False, default=None)
     sin2_moment: float = field(init=False, default=0.0)
     sincos_moment: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.kind == "density":
-            probe = self.density(np.linspace(-math.pi, math.pi, 4097))
-            if not np.all(np.asarray(probe) >= -1e-12):
+            knots = np.linspace(-math.pi, math.pi, CDF_KNOTS + 1)
+            dens = np.asarray(self.density(knots))
+            if not np.all(dens >= -1e-12):
                 raise InvalidDistributionError("density takes negative or NaN values")
         mass = self.moment(lambda t: np.ones_like(t))
         if not abs(mass - 1.0) <= MASS_TOL:
@@ -152,6 +149,10 @@ class AngleDistribution:
             raise InvalidDistributionError(f"sin*cos moment {sincos!r} exceeds {SINCOS_TOL}")
         self.sincos_moment = sincos
         self.sin2_moment = self.moment(lambda t: np.sin(t) ** 2)
+        if self.kind == "density":
+            dens = np.clip(dens, 0.0, None)
+            cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(knots))])
+            self._cdf = (knots, cdf / cdf[-1])
 
     # -- constructors ------------------------------------------------------
 
@@ -176,8 +177,7 @@ class AngleDistribution:
 
     @classmethod
     def from_density(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "AngleDistribution":
-        edges = np.linspace(-math.pi, math.pi, DENSITY_SEGMENTS + 1)
-        return cls(kind="density", density=fn, _segments=edges)
+        return cls(kind="density", density=fn, _segments=np.linspace(-math.pi, math.pi, DENSITY_SEGMENTS + 1))
 
     @classmethod
     def from_table(cls, thetas: Sequence[float], values: Sequence[float]) -> "AngleDistribution":
@@ -193,7 +193,7 @@ class AngleDistribution:
             raise InvalidDistributionError("table density must be nonnegative")
         va = np.clip(va, 0.0, None)
         edges = np.unique(np.concatenate([[-math.pi], th, [math.pi]]))
-        return cls(kind="density", density=_periodic_table(th, va), _segments=edges)
+        return cls(kind="density", density=partial(np.interp, xp=th, fp=va, period=TWO_PI), _segments=edges)
 
     # -- moments and Fourier data -------------------------------------------
 
@@ -224,17 +224,8 @@ class AngleDistribution:
         if self.kind == "atoms":
             idx = rng.choice(len(self.atom_thetas), size=size, p=self.atom_weights)
             return self.atom_thetas[idx]
-        knots, cdf = self._inverse_cdf_table()
+        knots, cdf = self._cdf
         return np.interp(rng.random(size), cdf, knots)
-
-    def _inverse_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cdf is None:
-            knots = np.linspace(-math.pi, math.pi, CDF_KNOTS + 1)
-            dens = np.clip(self.density(knots), 0.0, None)
-            cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(knots))])
-            cdf /= cdf[-1]
-            self._cdf = (knots, cdf)
-        return self._cdf
 
 
 def effective_coupling_rate(params: GeneratorParams, rho: AngleDistribution | None = None) -> float:

@@ -75,13 +75,10 @@ def _realize_inverse(i0: np.ndarray, j0: np.ndarray, param: np.ndarray, n: int, 
                      cols: int | None = None) -> np.ndarray:
     """Inverse words on the first `cols` columns (default all) of identity matrices, batch-last
     as (d*n, cols, B); each column is operated on alone, so the bits are the full matrix's.
-    The words come as `collide` takes them, pairs (B, k) and parameters (2 or 3, B, k), or (k,)
-    and (2 or 3, k) for one word.  Each collision applies in word order with its pair swapped:
-    bit for bit the rotation by -theta in d=1 (x - y is x + (-y)), the same exchange in d=3 (a - b is -(b - a))."""
-    i0 = np.atleast_2d(i0)
-    j0 = np.atleast_2d(j0)
+    The words come as `collide` takes them, pairs (B, k) and parameters (2 or 3, B, k).  Each
+    collision applies in word order with its pair swapped: bit for bit the rotation by -theta
+    in d=1 (x - y is x + (-y)), the same exchange in d=3 (a - b is -(b - a))."""
     batch, k = i0.shape
-    param = param.reshape(len(param), batch, k)
     cols = cols or d * n
     w = np.zeros((d * n, cols, batch))
     w[np.arange(cols), np.arange(cols)] = 1.0

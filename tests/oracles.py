@@ -1,7 +1,7 @@
 """Reference implementations that only the tests use: one collision on one
 velocity vector, the Gaussian L^p norm in one dimension, the Gaussian marginal
-check of a word's blocks, and frozen copies of the collision and initial draws
-and of the sphere rule's construction loop."""
+check of a word's blocks, and frozen copies of the collision, angle and initial
+draws and of the sphere rule's construction loop."""
 import math
 from dataclasses import dataclass
 
@@ -111,6 +111,16 @@ def uniform_sphere_reference(rng: np.random.Generator, size: int) -> np.ndarray:
             x /= norms[:, None]
             return x
         x[bad] = rng.normal(size=(int(bad.sum()), 3))
+
+
+def inverse_cdf_sample_reference(density, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Frozen draw of a continuous angle law as its sampler made it when the inverse-CDF table
+    was built lazily, at the first draw: the density clipped on 2^16 + 1 knots, trapezoid sums."""
+    knots = np.linspace(-math.pi, math.pi, 2 ** 16 + 1)
+    dens = np.clip(density(knots), 0.0, None)
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(knots))])
+    cdf /= cdf[-1]
+    return np.interp(rng.random(size), cdf, knots)
 
 
 def sample_pair_kinds_reference(params, rng: np.random.Generator, size: int) -> np.ndarray:

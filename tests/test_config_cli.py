@@ -365,6 +365,43 @@ def test_cli_out_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, o
         assert diag["error"] == "config" and "output directory" in diag["detail"]
 
 
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_cli_path_with_a_nul_byte_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran with a NUL byte in a path")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", never)
+    monkeypatch.setattr(cli, "build_sphere_quadrature", never)
+    cfg_path = write_config(tmp_path, {"ensemble": SMALL_ENSEMBLE})
+    paths = {"--config": str(cfg_path), "--out": str(tmp_path / "out"), flag: str(tmp_path / "a\x00b")}
+    runs = [["simulate", "--config", paths["--config"]]]
+    if flag == "--out":
+        runs.append(["discretize-sphere", "--L", "3", "--K", "2"])
+    for argv in runs:
+        assert main([*argv, "--out", paths["--out"]]) == 2
+        assert os.listdir(tmp_path) == ["config.json"]
+        diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert diag["error"] == "config" and f"argument {flag}: no file can be read" in diag["detail"]
+        assert "NUL byte" in diag["detail"]
+
+
+def test_load_config_path_with_a_nul_byte_cannot_be_read(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config file .*embedded null byte"):
+        load_config(str(tmp_path / "a\x00b"))
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "sphere_quadrature.csv"])
+def test_cli_artifact_name_taken_by_a_directory_exits_2_and_writes_nothing(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["discretize-sphere", "--L", "3", "--K", "2", "--out", str(out)]) == 2
+    assert os.listdir(out) == [name] and os.listdir(out / name) == []
+    stdout = capsys.readouterr().out.strip().splitlines()
+    assert len(stdout) == 1  # the diagnostic, and no echo
+    diag = json.loads(stdout[0])
+    assert diag["error"] == "config" and diag["detail"] == f"cannot write {out / name}: not a regular file"
+
+
 def test_cli_bad_workers_env_var_exits_2(tmp_path, monkeypatch, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "never"

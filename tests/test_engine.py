@@ -456,7 +456,7 @@ def test_shared_kernel_on_identity_reproduces_word_inverses():
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.48, 0.6, 0.64], [0.0, 0.0, -1.0], [0.6, -0.8, 0.0]])
     z = trajectory_rng(53, 0).normal(size=3 * n)
     for d, params, inverse, oracle in (
-        (1, np.stack([np.cos(thetas), -np.sin(thetas)]), realize_inverse_1d(i0, j0, thetas, n)[0],
+        (1, np.stack([np.cos(thetas), -np.sin(thetas)]), realize_inverse_1d(i0[None], j0[None], thetas[None], n)[0],
          lambda out, i, j, e: rotate_pair_1d(out, i, j, thetas[e])),
         (3, axes.T, realize_inverse_3d(i0[None], j0[None], axes[None], n)[0],
          lambda out, i, j, e: collide_pair_3d(out.reshape(n, 3), i, j, axes[e]).ravel()),
@@ -569,7 +569,7 @@ def test_density_table_ensemble_identical_across_workers(params28):
 
     thetas = np.linspace(-math.pi, math.pi, 401)
 
-    def rho():  # a fresh law each run, so two worker threads may both build its inverse-CDF table
+    def rho():  # a fresh law each run; its inverse-CDF table is built with it, before any worker draws
         return AngleDistribution.from_table(thetas, raised_cosine(thetas))
 
     init = InitialCondition.gaussian_product(0.3)

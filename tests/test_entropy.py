@@ -204,3 +204,15 @@ def test_decay_check_fails_non_finite_estimate_or_se(params28, uniform_rho):
 def test_decay_check_default_bias_margin(params28, uniform_rho):
     report = decay_check([0.0], [_fake_estimate(0.1)], 0.1, params28, uniform_rho)
     assert report["bias_margin"] == pytest.approx(0.04)
+
+
+def test_decay_check_reports_the_jitter_of_any_cloud(params28, uniform_rho):
+    clean = trajectory_rng(65, 0).normal(size=(200, 2))
+    first = relative_entropy_to_thermal(clean, k=2, n_bootstrap=2, rng=trajectory_rng(65, 1))
+    with pytest.warns(UserWarning):  # each point has three duplicates: its k=2 distance is 0
+        second = relative_entropy_to_thermal(np.repeat(clean[:50], 4, axis=0), k=2, n_bootstrap=2,
+                                             rng=trajectory_rng(65, 2))
+    report = decay_check([0.0, 1.0], [first, second], 0.3, params28, uniform_rho)
+    assert report["estimator"] == {**first.estimator, "jittered": True}
+    assert first.estimator["jittered"] is False
+    assert decay_check([0.0], [first], 0.3, params28, uniform_rho)["estimator"] == first.estimator

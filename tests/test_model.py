@@ -24,6 +24,7 @@ from kacbath.model import (
 from tests.conftest import raised_cosine
 from tests.oracles import (
     collide_pair_3d,
+    inverse_cdf_sample_reference,
     rotate_pair_1d,
     sample_pair_kinds_reference,
     sample_pairs_array_reference,
@@ -156,6 +157,30 @@ def test_invalid_distributions_rejected():
         AngleDistribution.atoms([(math.pi / 4, 1.0)])  # sin*cos moment nonzero
     with pytest.raises(InvalidDistributionError):
         AngleDistribution.from_density(lambda t: np.cos(t))  # negative values
+
+
+def test_density_negative_between_the_old_probe_points_rejected():
+    # a 1e-8 dip at one sampler knot near theta = 2, where max(cos, 0) / 2 is 0: it misses every
+    # 16th knot (a 4097-point probe would not see it) and is too narrow to move the moments
+    dip_at = np.linspace(-math.pi, math.pi, 2 ** 16 + 1)[53417]
+
+    def dipped(t):
+        return np.maximum(np.cos(t), 0.0) / 2.0 - 1e-8 * (np.abs(t - dip_at) < 1e-6)
+
+    with pytest.raises(InvalidDistributionError, match="negative"):
+        AngleDistribution.from_density(dipped)
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["density", "table"])
+def test_continuous_law_draws_as_the_lazy_table_did(table):
+    thetas = np.linspace(-math.pi, math.pi, 401)
+    if table:
+        rho = AngleDistribution.from_table(thetas, raised_cosine(thetas))
+        density = lambda x: np.interp(x, thetas, raised_cosine(thetas), period=2.0 * math.pi)
+    else:
+        rho, density = AngleDistribution.from_density(raised_cosine), raised_cosine
+    draws = rho.sample(trajectory_rng(66, 0), 50000)
+    assert np.array_equal(draws, inverse_cdf_sample_reference(density, trajectory_rng(66, 0), 50000))
 
 
 def test_table_knots_outside_the_circle_rejected():

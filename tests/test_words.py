@@ -295,8 +295,8 @@ def test_batch_realization_matches_single(params24, uniform_rho):
     thetas = uniform_rho.sample(rng, 12)
     batch = realize_inverse_1d(i0.reshape(3, 4), j0.reshape(3, 4), thetas.reshape(3, 4), 6)
     for b in range(3):
-        single = realize_inverse_1d(i0[4 * b : 4 * b + 4], j0[4 * b : 4 * b + 4],
-                                    thetas[4 * b : 4 * b + 4], 6)[0]
+        single = realize_inverse_1d(i0[None, 4 * b : 4 * b + 4], j0[None, 4 * b : 4 * b + 4],
+                                    thetas[None, 4 * b : 4 * b + 4], 6)[0]
         assert np.array_equal(batch[b], single)
 
 
