@@ -146,7 +146,7 @@ def cmd_verify_sum_rule(args, cfg, seed):
 def cmd_discretize_angle(args, cfg, seed):
     if cfg.rho is None:
         raise ConfigError("discretize-angle needs a rho section")
-    try:  # a law within 1e-12 of unit mass can round past it on the grid
+    try:  # the smoothed law's grid values take the sign rule, and its atoms can round past unit mass
         measure = build_discrete_angle_measure(cfg.rho, args.K)
     except InvalidDistributionError as exc:
         raise ConfigError(f"discretized rho: {exc}") from None

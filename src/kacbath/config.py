@@ -156,7 +156,7 @@ def _section(section: dict, where: str, kinds: dict, tag: str | None = None):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ExperimentConfig:
     """Validated experiment description plus its canonical hash; building one runs the cross-section checks."""
 

@@ -13,83 +13,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, AngleDistribution
-
-WEIGHT_TOL = 1e-12
+from .model import TWO_PI, AngleDistribution, _clip_nonnegative
 
 
-class MeasureConstructionError(RuntimeError):
-    """Smoothed density came out negative beyond rounding at a grid node."""
+def fejer_smooth(rho: AngleDistribution, K: int) -> np.ndarray:
+    """Fourier coefficients of the angle law convolved with the order-K Fejer kernel.
 
-
-@dataclass(frozen=True)
-class FejerSmoothedDensity:
-    """Trigonometric polynomial of degree 2K obtained by Fejer smoothing.
-
-    Coefficient m of the input is damped by (1 - |m|/(2K+1)) and cut beyond
-    |m| = 2K; the result is a nonnegative density of unit mass.
+    Entry m + 2K is coefficient m for m = -2K ... 2K, damped by (1 - |m|/(2K+1));
+    the trigonometric polynomial they define is a density of unit mass.
     """
-
-    K: int
-    coefficients: np.ndarray  # index m = -2K ... 2K
-
-    def coefficient(self, m: int) -> complex:
-        if abs(m) > 2 * self.K:
-            return 0.0j
-        return complex(self.coefficients[m + 2 * self.K])
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        ms = np.arange(-2 * self.K, 2 * self.K + 1)
-        values = np.tensordot(np.exp(1j * np.outer(theta, ms)), self.coefficients, axes=([-1], [0]))
-        return np.real(values)
-
-
-def fejer_smooth(rho: AngleDistribution, K: int) -> FejerSmoothedDensity:
-    """Convolve the angle law with the order-K Fejer kernel."""
     if K < 1:
         raise ValueError("K must be >= 1")
     ms = np.arange(-2 * K, 2 * K + 1)
     damp = 1.0 - np.abs(ms) / (2 * K + 1)
-    coeffs = np.array([rho.fourier_coefficient(int(m)) for m in ms], dtype=complex) * damp
-    return FejerSmoothedDensity(K=K, coefficients=coeffs)
+    return np.array([rho.fourier_coefficient(int(m)) for m in ms], dtype=complex) * damp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteAngleMeasure:
     """Atomic angle law on the 4K+1 uniform grid matching the smoothed law.
 
     `law` is an `AngleDistribution` of kind "atoms" whose Fourier coefficients
-    agree with the Fejer-smoothed density through order 2K, so unit mass and
-    the vanishing sin*cos moment carry over exactly.
+    agree with the Fejer-smoothed density's `coefficients` (entry m + 2K is
+    mode m) through order 2K, so unit mass and the vanishing sin*cos moment
+    carry over exactly.
     """
 
     law: AngleDistribution
-    smoothed: FejerSmoothedDensity
+    coefficients: np.ndarray
     fourier_hypothesis_ok: bool = True
 
     @property
     def K(self) -> int:
-        return self.smoothed.K
+        return len(self.coefficients) // 4
 
 
 def build_discrete_angle_measure(rho: AngleDistribution, K: int) -> DiscreteAngleMeasure:
     """Atomic measure on 4K+1 grid points whose low Fourier modes match rho's.
 
+    The atom weights are the smoothed density at the grid points, which must
+    pass the sign rule of every tabulated law (`InvalidDistributionError`).
     Valid for any input law; the spectral-matching argument formally needs an
     absolutely convergent Fourier series, so atomic inputs are flagged via
     `fourier_hypothesis_ok=False` (the construction itself still goes through).
     """
-    smoothed = fejer_smooth(rho, K)
+    coefficients = fejer_smooth(rho, K)
     n = 4 * K + 1
     ells = np.arange(-2 * K, 2 * K + 1)
     thetas = TWO_PI * ells / n
-    values = smoothed(thetas)
-    if np.any(values < -WEIGHT_TOL):
-        raise MeasureConstructionError(
-            f"smoothed density negative at a grid node (min {values.min()!r})"
-        )
-    weights = np.clip(values, 0.0, None) * (TWO_PI / n)
+    # the grid indices and the modes both run over -2K ... 2K
+    values = np.real(np.tensordot(np.exp(1j * np.outer(thetas, ells)), coefficients, axes=([-1], [0])))
+    weights = _clip_nonnegative(values, "smoothed density at the grid nodes") * (TWO_PI / n)
     hypothesis_ok = rho.kind != "atoms"
     if not hypothesis_ok:
         warnings.warn(
@@ -97,10 +71,10 @@ def build_discrete_angle_measure(rho: AngleDistribution, K: int) -> DiscreteAngl
             stacklevel=2,
         )
     law = AngleDistribution.atoms(list(zip(thetas, weights)))
-    return DiscreteAngleMeasure(law=law, smoothed=smoothed, fourier_hypothesis_ok=hypothesis_ok)
+    return DiscreteAngleMeasure(law=law, coefficients=coefficients, fourier_hypothesis_ok=hypothesis_ok)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Product rule on the unit sphere: Gauss-Legendre polar x uniform azimuthal.
 

@@ -20,8 +20,8 @@ every observation time.
 Reproducibility: chunk c of a run with seed s draws everything from the
 counter-based Philox stream keyed by (s, c) and writes its own rows of the
 result arrays, so results are bit-identical for any number of worker threads.
-Outputs for a seed differ from kacbath 0.1.0, which keyed one stream per
-trajectory.
+Outputs for a seed differ from the first release, which keyed one stream
+per trajectory.
 """
 from __future__ import annotations
 
@@ -180,7 +180,7 @@ def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleResult:
     """Stacked trajectory observables in trajectory order."""
 

@@ -60,7 +60,7 @@ def ou_apply(h: Profile, t: float, order: int = 64) -> Profile:
     The average takes points of any shape and keeps it, so averages nest.
     Preserves the Gaussian-weighted mass of h; constants are fixed points.
     """
-    if t < 0:
+    if not t >= 0:  # also rejects nan
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return h
@@ -121,7 +121,7 @@ def entropic_nelson_check(h: Profile, t: float, order: int = 96) -> InequalityCh
     return _two_order_verdict(margin_at, order)
 
 
-@dataclass
+@dataclass(eq=False)
 class BLDatum:
     """Weighted co-isometries resolving the identity: sum c_i B_i^T B_i = I."""
 
@@ -274,7 +274,7 @@ def _joint_integral(datum: BLDatum, factors: Sequence[HeatFlowFunction]) -> floa
     return math.exp(log_phi - 0.5 * logdet + float(b @ np.linalg.solve(q, b)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeatFlowResult:
     lhs: np.ndarray
     finite_differences: np.ndarray
@@ -291,14 +291,15 @@ def heat_flow_monotonicity_check(
 ) -> HeatFlowResult:
     """Transport the marginal factors by heat flow and track the joint integral.
 
-    The unweighted joint integral, exact at each flow time, must be
-    nondecreasing on the grid (its secant slopes stay above HEAT_FLOW_SLOPE_TOL)
-    and, at HEAT_FLOW_LIMIT_TIME, be within HEAT_FLOW_LIMIT_REL_TOL of the
-    product of the (flow-invariant) marginal masses.
+    The grid needs two or more positive times, all distinct.  The unweighted
+    joint integral, exact at each flow time, must be nondecreasing on the grid
+    (its secant slopes stay above HEAT_FLOW_SLOPE_TOL) and, at
+    HEAT_FLOW_LIMIT_TIME, be within HEAT_FLOW_LIMIT_REL_TOL of the product of
+    the (flow-invariant) marginal masses.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
-    if np.any(t_grid <= 0):
-        raise ValueError("flow times must be positive")
+    if not (len(t_grid) >= 2 and np.all(t_grid > 0) and np.all(np.diff(t_grid) > 0)):
+        raise ValueError(f"need two or more positive flow times, all distinct, got {t_grid.tolist()}")
     rhs = math.prod(
         _lebesgue_marginal_integral(f, d) ** c for f, d, c in zip(functions, datum.dims, datum.weights, strict=True)
     )

@@ -29,7 +29,15 @@ _SPHERE_ROWS = 8192  # rows uniform_sphere draws and normalizes at once; the str
 
 
 class InvalidDistributionError(ValueError):
-    """Angle distribution violates unit mass or the zero sin*cos moment."""
+    """Angle distribution violates its sign, unit mass or the zero sin*cos moment."""
+
+
+def _clip_nonnegative(values, what: str) -> np.ndarray:
+    """A tabulated law's values as floats clipped at 0: a value negative beyond rounding, or nan, raises."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(values >= -1e-12):
+        raise InvalidDistributionError(f"{what} takes negative or NaN values (min {float(np.min(values))!r})")
+    return np.clip(values, 0.0, None)
 
 
 def _is_int(x) -> bool:
@@ -115,7 +123,7 @@ class GeneratorParams:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class AngleDistribution:
     """Law of the scattering angle on [-pi, pi].
 
@@ -138,9 +146,7 @@ class AngleDistribution:
     def __post_init__(self):
         if self.kind == "density":
             knots = np.linspace(-math.pi, math.pi, CDF_KNOTS + 1)
-            dens = np.asarray(self.density(knots))
-            if not np.all(dens >= -1e-12):
-                raise InvalidDistributionError("density takes negative or NaN values")
+            dens = _clip_nonnegative(self.density(knots), "density")
         mass = self.moment(lambda t: np.ones_like(t))
         if not abs(mass - 1.0) <= MASS_TOL:
             raise InvalidDistributionError(f"total mass {mass!r} differs from 1 beyond {MASS_TOL}")
@@ -150,7 +156,6 @@ class AngleDistribution:
         self.sincos_moment = sincos
         self.sin2_moment = self.moment(lambda t: np.sin(t) ** 2)
         if self.kind == "density":
-            dens = np.clip(dens, 0.0, None)
             cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(knots))])
             self._cdf = (knots, cdf / cdf[-1])
 
@@ -189,9 +194,7 @@ class AngleDistribution:
             raise InvalidDistributionError("table thetas must be strictly increasing")
         if not np.all(np.abs(th) <= math.pi + 1e-15):  # the moments span the knots, the sampler [-pi, pi]
             raise InvalidDistributionError("table thetas must lie in [-pi, pi]")
-        if not np.all(va >= -1e-12):
-            raise InvalidDistributionError("table density must be nonnegative")
-        va = np.clip(va, 0.0, None)
+        va = _clip_nonnegative(va, "table density")
         edges = np.unique(np.concatenate([[-math.pi], th, [math.pi]]))
         return cls(kind="density", density=partial(np.interp, xp=th, fp=va, period=TWO_PI), _segments=edges)
 

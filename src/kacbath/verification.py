@@ -123,7 +123,7 @@ def angle_measure_report(measure: DiscreteAngleMeasure, tol: float = 1e-12) -> d
     """Invariants of the discrete angle measure: mass, angle moment, spectrum match."""
     k, law = measure.K, measure.law
     mismatches = [
-        abs(law.fourier_coefficient(m) - measure.smoothed.coefficient(m))
+        abs(law.fourier_coefficient(m) - complex(measure.coefficients[m + 2 * k]))
         for m in range(-2 * k, 2 * k + 1)
     ]
     report = {

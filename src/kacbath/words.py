@@ -46,7 +46,7 @@ def sum_rule_bytes(params: GeneratorParams, n_words: int, k: int) -> int:
     return max(64 * b * k, 8 * dm * b * dm, 8 * dm * params.dimension * params.n_particles * _SLICE_WORDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularSpectrum:
     """Singular value decomposition A = U diag(gammas) V^T with gammas in [0, 1]."""
 
@@ -119,7 +119,7 @@ def sigma_subset_weights(gammas: np.ndarray) -> tuple[list[tuple[int, ...]], np.
     return subsets, weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumRuleEstimate:
     """Monte Carlo average of A A^T against its predicted multiple of the identity."""
 

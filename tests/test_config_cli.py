@@ -312,6 +312,22 @@ def test_cli_discretize_angle_at_mass_tolerance_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "config"
 
 
+def test_cli_discretize_angle_negative_smoothed_density_exits_2(tmp_path, capsys, monkeypatch):
+    # a smoothed law with a negative mass coefficient fails the sign rule at every grid node
+    def negative_mass(rho, K):
+        coefficients = np.zeros(4 * K + 1, dtype=complex)
+        coefficients[2 * K] = -1.0 / (2.0 * math.pi)
+        return coefficients
+
+    monkeypatch.setattr(kacbath.discretize, "fejer_smooth", negative_mass)
+    cfg_path = write_config(tmp_path)
+    out = tmp_path / "never"
+    assert main(["discretize-angle", "--config", str(cfg_path), "--out", str(out), "--K", "3"]) == 2
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert diag["error"] == "config" and "smoothed density" in diag["detail"]
+
+
 def test_cli_discretize_sphere(tmp_path):
     out = tmp_path / "ds"
     assert main(["discretize-sphere", "--out", str(out), "--L", "3", "--K", "2"]) == 0

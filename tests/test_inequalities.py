@@ -88,6 +88,11 @@ def test_ou_rejects_negative_time():
         ou_apply(lambda x: np.full_like(x, 1.0), -0.1)
 
 
+def test_ou_rejects_nan_time():
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        ou_apply(lambda x: np.full_like(x, 1.0), math.nan)
+
+
 # ----------------------------------------------------------- entropic bound
 
 
@@ -358,6 +363,16 @@ def test_heat_flow_monotone_on_word_datum():
     assert np.all(res.finite_differences >= -1e-6)
     assert res.limit_relative_error <= 0.02
     assert res.passed
+
+
+@pytest.mark.parametrize("t_grid", [(), (0.5,), (1.0, 1.0, 2.0), (0.0, 1.0), (math.nan, 1.0)],
+                         ids=["empty", "one-time", "repeated-time", "zero-time", "nan-time"])
+def test_heat_flow_needs_two_distinct_positive_times(t_grid):
+    # one time gives no secant slope, and a repeated one a 0/0 slope: no evidence either way
+    datum = BLDatum(maps=[np.eye(2)], weights=np.array([1.0]))
+    funcs = [HeatFlowFunction.gaussian(1.1, center=np.array([0.1, 0.2]))]
+    with pytest.raises(ValueError, match="two or more positive flow times, all distinct"):
+        heat_flow_monotonicity_check(datum, funcs, t_grid)
 
 
 @pytest.mark.parametrize("decay, scale", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0)])

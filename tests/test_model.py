@@ -11,7 +11,10 @@ from kacbath import (
     GeneratorParams,
     effective_coupling_rate,
 )
-from kacbath.engine import trajectory_rng
+from kacbath.config import parse_config
+from kacbath.discretize import build_discrete_angle_measure, build_sphere_quadrature
+from kacbath.engine import EnsembleResult, trajectory_rng
+from kacbath.inequalities import BLDatum, HeatFlowFunction, heat_flow_monotonicity_check
 from kacbath.model import (
     _SPHERE_ROWS,
     InvalidDistributionError,
@@ -21,6 +24,7 @@ from kacbath.model import (
     sample_pairs_array,
     uniform_sphere,
 )
+from kacbath.words import decompose, mc_sum_rule
 from tests.conftest import raised_cosine
 from tests.oracles import (
     collide_pair_3d,
@@ -169,6 +173,36 @@ def test_density_negative_between_the_old_probe_points_rejected():
 
     with pytest.raises(InvalidDistributionError, match="negative"):
         AngleDistribution.from_density(dipped)
+
+
+def _identity_datum():
+    return BLDatum(maps=[np.eye(2)], weights=np.array([1.0]))
+
+
+ARRAY_HOLDERS = {
+    "AngleDistribution": AngleDistribution.half_pi_atoms,
+    "ExperimentConfig": lambda: parse_config({
+        "params": {"M": 2, "N": 8, "lambda_S": 1.0, "lambda_R": 1.0, "mu": 1.0},
+        "rho": {"type": "atoms", "atoms": [[math.pi / 2, 0.5], [-math.pi / 2, 0.5]]}}),
+    "DiscreteAngleMeasure": lambda: build_discrete_angle_measure(AngleDistribution.uniform(), 2),
+    "SphereQuadrature": lambda: build_sphere_quadrature(2, 2),
+    "EnsembleResult": lambda: EnsembleResult(t_grid=np.zeros(2), snapshots=np.zeros((3, 2, 1)),
+                                             counts=np.zeros((3, 3)), energies=None),
+    "BLDatum": _identity_datum,
+    "HeatFlowResult": lambda: heat_flow_monotonicity_check(
+        _identity_datum(), [HeatFlowFunction.gaussian(1.1, center=np.array([0.1, 0.2]))], (0.5, 2.0)),
+    "SingularSpectrum": lambda: decompose(np.eye(3), 2),
+    "SumRuleEstimate": lambda: mc_sum_rule(1, GeneratorParams(M=2, N=2, lambda_S=1.0, lambda_R=1.0, mu=1.0),
+                                           AngleDistribution.uniform(), 10, trajectory_rng(1, 0)),
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holding_types_compare_by_identity_and_hash(build):
+    # a generated __eq__ would compare the ndarray fields inside a tuple and raise; these compare by identity
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["density", "table"])
